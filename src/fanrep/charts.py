@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Sequence
 
-from .exactnum import IntMatrix, invert, mat_mul
-from .geometry import ChartBasis, Cone, Fan, chart_bases, maximal_cones
+from .exactnum import IntMatrix, RatMatrix, invert, mat_mul
+from .geometry import ChartBasis, Cone, Fan, maximal_cones
 
 __all__ = [
     "MonomialMap",
@@ -72,9 +73,6 @@ def _integral_columns(mat) -> IntMatrix:
     return IntMatrix(mat.rows, mat.cols, [x.numerator for x in mat.entries])
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=256)
 def _cached_inverse(matrix: IntMatrix):
     return invert(matrix.to_rational())
@@ -93,8 +91,6 @@ def basis_coordinates(basis: ChartBasis, vector: Sequence[int]) -> Dict[int, int
 
 
 def _column(vector: Sequence[int], n: int):
-    from .exactnum import RatMatrix
-
     vector = list(vector)
     if len(vector) != n:
         raise ValueError(f"vector {vector} is not {n}-dimensional")

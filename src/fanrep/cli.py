@@ -17,7 +17,6 @@ from .charts import CocycleError, check_cocycle, gluing_map
 from .descent import DescentError, descent_from_json, glue, validate_descent
 from .exactnum import NotCompletableError
 from .geometry import (
-    Cone,
     FanError,
     chart_bases,
     cone_key,
@@ -90,15 +89,19 @@ def _violations_payload(violations) -> dict:
     return {"violations": [v.to_json() for v in violations]}
 
 
+def _single_violation(condition: str, detail: str) -> CommandResult:
+    return CommandResult(
+        "violation",
+        {"violations": [{"condition": condition, "location": [], "detail": detail}]},
+    )
+
+
 def cmd_fan_validate(path: str) -> CommandResult:
     fan, overrides = _load_fan(path)
     try:
         validate_fan(fan)
     except FanError as exc:
-        return CommandResult(
-            "violation",
-            {"violations": [{"condition": exc.axiom, "location": [], "detail": exc.detail}]},
-        )
+        return _single_violation(exc.axiom, exc.detail)
     smooth = {cone_key(c) or "0": is_smooth(fan, c) for c in fan.sorted_cones()}
     non_smooth = sorted(key for key, ok in smooth.items() if not ok)
     if non_smooth:
@@ -121,10 +124,7 @@ def cmd_fan_dual(path: str) -> CommandResult:
         validate_fan(fan)
         bases = chart_bases(fan, overrides)
     except FanError as exc:
-        return CommandResult(
-            "violation",
-            {"violations": [{"condition": exc.axiom, "location": [], "detail": exc.detail}]},
-        )
+        return _single_violation(exc.axiom, exc.detail)
     duals = {}
     for cone, basis in sorted(bases.items(), key=lambda kv: kv[0].ray_indices):
         g = dual_cone_smooth(basis.basis)
@@ -143,15 +143,9 @@ def cmd_fan_gluing(path: str) -> CommandResult:
         bases = chart_bases(fan, overrides)
         check_cocycle(fan, bases)
     except FanError as exc:
-        return CommandResult(
-            "violation",
-            {"violations": [{"condition": exc.axiom, "location": [], "detail": exc.detail}]},
-        )
+        return _single_violation(exc.axiom, exc.detail)
     except CocycleError as exc:
-        return CommandResult(
-            "violation",
-            {"violations": [{"condition": "cocycle", "location": [], "detail": str(exc)}]},
-        )
+        return _single_violation("cocycle", str(exc))
     gluings = {}
     tops = maximal_cones(fan)
     for a, b in itertools.permutations(tops, 2):
@@ -167,10 +161,7 @@ def cmd_quiver_build(target: str, family: str) -> CommandResult:
             validate_fan(fan)
             quiver = fan_quiver(fan, chart_bases(fan, overrides))
         except FanError as exc:
-            return CommandResult(
-                "violation",
-                {"violations": [{"condition": exc.axiom, "location": [], "detail": exc.detail}]},
-            )
+            return _single_violation(exc.axiom, exc.detail)
     else:
         try:
             n = int(target)
@@ -203,24 +194,10 @@ def cmd_rep_validate(path: str, category: str, fan_path: Optional[str]) -> Comma
         fan, overrides = _load_fan(fan_path)
         validate_fan(fan)
         bases = chart_bases(fan, overrides)
-        data = _load_json(path)
-        quiver = fan_quiver(fan, bases)
-        try:
-            rep = (
-                rep_from_json(data, quiver=quiver)
-                if "quiver" not in data
-                else rep_from_json(data)
-            )
-        except ShapeError as exc:
-            return CommandResult("error", {"error": "shape", "detail": str(exc)})
-        except (ValueError, TypeError) as exc:
-            raise ParseFailure(f"{path}: {exc}")
+        rep = _load_rep(path, quiver=fan_quiver(fan, bases))
         violations = validate_CDelta(rep, fan, bases)
     else:
-        try:
-            rep = _load_rep(path)
-        except ShapeError as exc:
-            return CommandResult("error", {"error": "shape", "detail": str(exc)})
+        rep = _load_rep(path)
         validator = {"cn": validate_Cn, "csigma": validate_CSigma}[category]
         violations = validator(rep)
     if violations:
@@ -228,14 +205,16 @@ def cmd_rep_validate(path: str, category: str, fan_path: Optional[str]) -> Comma
     return CommandResult("ok", {})
 
 
-def cmd_rep_hom(path_a: str, path_b: str) -> CommandResult:
-    try:
-        a = _load_rep(path_a)
-        b = _load_rep(path_b)
-    except ShapeError as exc:
-        return CommandResult("error", {"error": "shape", "detail": str(exc)})
+def _load_rep_pair(path_a: str, path_b: str):
+    a = _load_rep(path_a)
+    b = _load_rep(path_b)
     if a.quiver != b.quiver:
         raise ParseFailure("representations live on different quivers")
+    return a, b
+
+
+def cmd_rep_hom(path_a: str, path_b: str) -> CommandResult:
+    a, b = _load_rep_pair(path_a, path_b)
     basis = hom_basis(a, b)
     return CommandResult(
         "ok", {"dim": len(basis), "basis": [mor.to_json() for mor in basis]}
@@ -243,13 +222,7 @@ def cmd_rep_hom(path_a: str, path_b: str) -> CommandResult:
 
 
 def cmd_rep_iso(path_a: str, path_b: str, seed: int, max_attempts: int) -> CommandResult:
-    try:
-        a = _load_rep(path_a)
-        b = _load_rep(path_b)
-    except ShapeError as exc:
-        return CommandResult("error", {"error": "shape", "detail": str(exc)})
-    if a.quiver != b.quiver:
-        raise ParseFailure("representations live on different quivers")
+    a, b = _load_rep_pair(path_a, path_b)
     result = are_isomorphic(a, b, seed=seed, max_attempts=max_attempts)
     payload = {"verdict": result.verdict, "reason": result.reason}
     if result.witness is not None:
@@ -268,10 +241,7 @@ def _load_descent(path: str):
 
 
 def cmd_descent_check(path: str) -> CommandResult:
-    try:
-        datum = _load_descent(path)
-    except DescentError as exc:
-        return CommandResult("error", {"error": "descent-structure", "detail": str(exc)})
+    datum = _load_descent(path)
     violations = validate_descent(datum)
     if violations:
         return CommandResult("violation", _violations_payload(violations))
@@ -279,10 +249,7 @@ def cmd_descent_check(path: str) -> CommandResult:
 
 
 def cmd_descent_glue(path: str) -> CommandResult:
-    try:
-        datum = _load_descent(path)
-    except DescentError as exc:
-        return CommandResult("error", {"error": "descent-structure", "detail": str(exc)})
+    datum = _load_descent(path)
     violations = validate_descent(datum)
     if violations:
         return CommandResult("violation", _violations_payload(violations))
@@ -370,6 +337,10 @@ def run(argv=None) -> CommandResult:
         return CommandResult("error", {"error": "parse", "detail": exc.detail})
     except (FanError, NotCompletableError) as exc:
         return CommandResult("error", {"error": "fan", "detail": str(exc)})
+    except ShapeError as exc:
+        return CommandResult("error", {"error": "shape", "detail": str(exc)})
+    except DescentError as exc:
+        return CommandResult("error", {"error": "descent-structure", "detail": str(exc)})
     except ValueError as exc:
         # wrong quiver family for a validator, malformed structures, ...
         return CommandResult("error", {"error": "invalid-input", "detail": str(exc)})

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .charts import stratum_loop_exponents
 from .exactnum import NotInvertibleError, RatMatrix, invert, mat_mul
 from .geometry import (
     ChartBasis,
@@ -29,20 +28,21 @@ from .geometry import (
     maximal_cones,
     parse_cone_key,
 )
-from .quivers import Quiver, Vertex, fan_quiver, vertex_key, parse_vertex_key
+from .quivers import Quiver, Vertex, cube_quiver, fan_quiver, parse_vertex_key, subsets, vertex_key
 from .reps import (
+    DirectionResolver,
     Morphism,
     Representation,
     Violation,
-    _check_invertibility,
-    _check_loops,
-    _check_squares,
-    _DirectionResolver,
-    _violation_sort_key,
-    monodromy,
+    chart_operator,
+    check_invertibility,
+    check_loops,
+    check_squares,
+    exponent_product,
     rep_from_json,
     rep_to_json,
     validate_CDelta,
+    violation_sort_key,
 )
 
 __all__ = [
@@ -66,28 +66,7 @@ class DescentError(ValueError):
 def chart_quiver(fan: Fan, bases: Dict[Cone, ChartBasis], cone: Cone) -> Quiver:
     """Quiver of one affine chart: the hypercube on the cone's ray set,
     with the chart's completion labels as loops at every vertex."""
-    indices = cone.ray_indices
-    vertices = [
-        tuple(sub)
-        for r in range(len(indices) + 1)
-        for sub in itertools.combinations(indices, r)
-    ]
-    pairs = []
-    for v in vertices:
-        for p in indices:
-            if p not in v:
-                pairs.append((v, tuple(sorted(v + (p,)))))
-    loops = {v: bases[cone].completion_labels for v in vertices}
-    return Quiver(vertices, pairs, loops)
-
-
-def _subsets(indices) -> list:
-    indices = tuple(indices)
-    return [
-        tuple(sub)
-        for r in range(len(indices) + 1)
-        for sub in itertools.combinations(indices, r)
-    ]
+    return cube_quiver(cone.ray_indices, bases[cone].completion_labels)
 
 
 class DescentDatum:
@@ -140,7 +119,7 @@ class DescentDatum:
             stored[key] = mat_fwd
         for a, b in itertools.combinations(tops, 2):
             overlap = tuple(sorted(set(a.ray_indices) & set(b.ray_indices)))
-            for j in _subsets(overlap):
+            for j in subsets(overlap):
                 key = (a, b, j)
                 if key not in stored:
                     raise DescentError(
@@ -189,14 +168,6 @@ def _exact_inverse(mat: RatMatrix, key) -> RatMatrix:
         raise DescentError(f"delta for {key} is singular")
 
 
-def _chart_direction_operator(chart: Representation, cone: Cone, vertex, label) -> RatMatrix:
-    """Monodromy of a basis direction inside one chart: an arrow
-    monodromy for the chart's own rays, a loop map otherwise."""
-    if label in cone.ray_indices:
-        return monodromy(chart, (vertex, tuple(sorted(vertex + (label,)))), "low")
-    return chart.loop_maps[(vertex, label)]
-
-
 def validate_descent(d: DescentDatum) -> List[Violation]:
     """Check chart validity, overlap conjugation, monodromy transport,
     and the triple cocycle."""
@@ -205,7 +176,7 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
     for cone in tops:
         chart = d.charts[cone]
         for violation in (
-            _check_invertibility(chart) + _check_squares(chart) + _check_loops(chart)
+            check_invertibility(chart) + check_squares(chart) + check_loops(chart)
         ):
             out.append(
                 Violation(
@@ -218,7 +189,7 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
     for a, b in itertools.combinations(tops, 2):
         overlap = tuple(sorted(set(a.ray_indices) & set(b.ray_indices)))
         ca, cb = d.charts[a], d.charts[b]
-        for j in _subsets(overlap):
+        for j in subsets(overlap):
             for p in overlap:
                 if p in j:
                     continue
@@ -252,7 +223,7 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
         overlap = set(a.ray_indices) & set(b.ray_indices)
         ca, cb = d.charts[a], d.charts[b]
         basis_a, basis_b = d.bases[a], d.bases[b]
-        for j in _subsets(sorted(overlap)):
+        for j in subsets(sorted(overlap)):
             try:
                 dj = d.delta(a, b, j)
                 dj_inv = invert(dj)
@@ -261,18 +232,9 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
             for p in basis_b.labels:
                 if p in overlap:
                     continue
-                vector = basis_b.column(p)
                 try:
-                    m_far = _chart_direction_operator(cb, b, j, p)
-                    lhs = mat_mul(mat_mul(dj_inv, m_far), dj)
-                    alpha = stratum_loop_exponents(basis_a, j, vector)
-                    rhs = RatMatrix.identity(ca.dims[j])
-                    for label in sorted(alpha):
-                        exp = alpha[label]
-                        if exp == 0:
-                            continue
-                        op = _chart_direction_operator(ca, a, j, label)
-                        rhs = mat_mul(rhs, op.power(exp))
+                    lhs = mat_mul(mat_mul(dj_inv, chart_operator(cb, basis_b, j, p)), dj)
+                    rhs = exponent_product(ca, basis_a, j, basis_b.column(p), chart_operator)
                 except NotInvertibleError:
                     continue  # the chart validity section already reports this
                 if lhs != rhs:
@@ -286,7 +248,7 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
 
     for a, b, c in itertools.permutations(tops, 3):
         overlap = set(a.ray_indices) & set(b.ray_indices) & set(c.ray_indices)
-        for j in _subsets(sorted(overlap)):
+        for j in subsets(sorted(overlap)):
             left = mat_mul(d.delta(b, c, j), d.delta(a, b, j))
             if left != d.delta(a, c, j):
                 out.append(
@@ -296,7 +258,7 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
                         "deltas fail the triple cocycle",
                     )
                 )
-    return sorted(out, key=_violation_sort_key)
+    return sorted(out, key=violation_sort_key)
 
 
 def _owner(tops, vertex) -> Cone:
@@ -347,16 +309,9 @@ def glue(d: DescentDatum) -> Representation:
             if ref == owner:
                 loops[(vtx, label)] = chart.loop_maps[(vtx, label)]
             else:
-                vector = bases[ref].column(label)
-                alpha = stratum_loop_exponents(bases[owner], vtx, vector)
-                acc = RatMatrix.identity(chart.dims[vtx])
-                for lab in sorted(alpha):
-                    exp = alpha[lab]
-                    if exp == 0:
-                        continue
-                    op = _chart_direction_operator(chart, owner, vtx, lab)
-                    acc = mat_mul(acc, op.power(exp))
-                loops[(vtx, label)] = acc
+                loops[(vtx, label)] = exponent_product(
+                    chart, bases[owner], vtx, bases[ref].column(label), chart_operator
+                )
     return Representation(quiver, dims, u, v, loops)
 
 
@@ -370,7 +325,7 @@ def section(rep: Representation, fan: Fan, bases=None, basis_overrides=None) -> 
         raise DescentError(
             f"representation is invalid; first violation: {violations[0]}"
         )
-    resolver = _DirectionResolver(rep, fan, bases)
+    resolver = DirectionResolver(rep, fan, bases)
     tops = maximal_cones(fan)
     charts = {}
     for cone in tops:
@@ -387,7 +342,7 @@ def section(rep: Representation, fan: Fan, bases=None, basis_overrides=None) -> 
     deltas = {}
     for a, b in itertools.combinations(tops, 2):
         overlap = tuple(sorted(set(a.ray_indices) & set(b.ray_indices)))
-        for j in _subsets(overlap):
+        for j in subsets(overlap):
             deltas[(a, b, j)] = RatMatrix.identity(rep.dims[j])
     return DescentDatum(fan, charts, deltas, bases=bases, basis_overrides=basis_overrides)
 
@@ -409,7 +364,7 @@ class DescentMorphism:
                 return False
         for a, b in itertools.combinations(tops, 2):
             overlap = tuple(sorted(set(a.ray_indices) & set(b.ray_indices)))
-            for j in _subsets(overlap):
+            for j in subsets(overlap):
                 lhs = mat_mul(self.charts[b].maps[j], self.source.delta(a, b, j))
                 rhs = mat_mul(self.target.delta(a, b, j), self.charts[a].maps[j])
                 if lhs != rhs:

@@ -8,6 +8,7 @@ is the map "apply b, then a".
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -39,7 +40,7 @@ class NotCompletableError(ValueError):
     """Raised when integer vectors do not extend to a basis of Z^n."""
 
 
-_RATIONAL_RE = None
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -48,11 +49,6 @@ def parse_rational(text: str) -> Fraction:
     Only integer and slash forms are accepted; decimal strings are
     rejected so no value sneaks in through float notation.
     """
-    global _RATIONAL_RE
-    if _RATIONAL_RE is None:
-        import re
-
-        _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {text!r}")
     text = text.strip()
@@ -478,19 +474,6 @@ class IntMatrix:
     def to_rational(self) -> RatMatrix:
         return RatMatrix(self.rows, self.cols, self.entries)
 
-    def to_json(self) -> list:
-        return self.to_rows()
-
-
-def _int_inverse_of_unimodular(m: IntMatrix) -> IntMatrix:
-    inv = invert(m.to_rational())
-    entries = []
-    for x in inv.entries:
-        if x.denominator != 1:
-            raise ValueError("matrix is not unimodular")
-        entries.append(x.numerator)
-    return IntMatrix(m.rows, m.cols, entries)
-
 
 def smith_normal_form(a: IntMatrix) -> tuple:
     """Smith normal form: returns (U, D, V) with U.a.V = D exactly.
@@ -682,17 +665,6 @@ def complete_to_unimodular(vectors: Sequence[Sequence[int]], n: int) -> IntMatri
     if abs(out.det()) != 1:
         raise AssertionError("completion is not unimodular; this is a bug")
     return out
-
-
-def primitive_vector(vec: Sequence[int]) -> tuple:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    vec = tuple(int(x) for x in vec)
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g <= 1:
-        return vec
-    return tuple(x // g for x in vec)
 
 
 def is_primitive(vec: Sequence[int]) -> bool:

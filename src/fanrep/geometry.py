@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .exactnum import (
@@ -221,9 +222,6 @@ def dual_cone_smooth(m: IntMatrix) -> IntMatrix:
         raise ValueError("generator matrix is not unimodular; cone is not smooth")
     inv = invert(m.transpose().to_rational())
     return IntMatrix(m.rows, m.cols, [x.numerator for x in inv.entries])
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=64)

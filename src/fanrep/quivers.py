@@ -21,6 +21,8 @@ __all__ = [
     "Quiver",
     "Vertex",
     "Edge",
+    "subsets",
+    "cube_quiver",
     "hypercube_quiver",
     "arrangement_quiver",
     "fan_quiver",
@@ -103,11 +105,28 @@ class Quiver:
                     out.append((base, p, q))
         return sorted(out)
 
-    def loop_labels(self, v) -> Tuple[int, ...]:
-        return self.loops[_vertex(v)]
-
     def total_loops(self) -> int:
         return sum(len(labels) for labels in self.loops.values())
+
+
+def subsets(indices) -> list:
+    """Every sub-tuple of indices, by size and then lexicographically."""
+    indices = tuple(indices)
+    return [
+        sub
+        for r in range(len(indices) + 1)
+        for sub in itertools.combinations(indices, r)
+    ]
+
+
+def cube_quiver(indices, loop_labels=()) -> Quiver:
+    """The hypercube on an index set: one vertex per subset, a u/v pair
+    on each edge adding one index, and the same loop labels at every
+    vertex."""
+    indices = tuple(indices)
+    vertices = subsets(indices)
+    pairs = [(v, tuple(sorted(v + (p,)))) for v in vertices for p in indices if p not in v]
+    return Quiver(vertices, pairs, {v: loop_labels for v in vertices})
 
 
 def hypercube_quiver(n: int) -> Quiver:
@@ -115,18 +134,7 @@ def hypercube_quiver(n: int) -> Quiver:
     2^n vertices indexed by subsets of {1..n}, a u/v pair on each edge."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    ground = range(1, n + 1)
-    vertices = [
-        tuple(sub)
-        for r in range(n + 1)
-        for sub in itertools.combinations(ground, r)
-    ]
-    pairs = []
-    for v in vertices:
-        for p in ground:
-            if p not in v:
-                pairs.append((v, tuple(sorted(v + (p,)))))
-    return Quiver(vertices, pairs)
+    return cube_quiver(range(1, n + 1))
 
 
 def arrangement_quiver(n_lines: int) -> Quiver:

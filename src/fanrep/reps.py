@@ -19,11 +19,10 @@ from .charts import stratum_loop_exponents
 from .exactnum import (
     NotInvertibleError,
     RatMatrix,
-    invert,
     mat_mul,
     solve_nullspace,
 )
-from .geometry import Cone, Fan, chart_bases, cone_key, loop_reference
+from .geometry import ChartBasis, Cone, Fan, chart_bases, cone_key, loop_reference
 from .quivers import (
     Quiver,
     Vertex,
@@ -32,6 +31,7 @@ from .quivers import (
     hypercube_quiver,
     quiver_from_json,
     quiver_to_json,
+    subsets,
     vertex_key,
     parse_vertex_key,
 )
@@ -81,7 +81,7 @@ def edge_key(edge) -> str:
     return f"{vertex_key(low)}-{vertex_key(high)}"
 
 
-def _violation_sort_key(violation: "Violation"):
+def violation_sort_key(violation: "Violation"):
     return (violation.condition, tuple(str(x) for x in violation.location))
 
 
@@ -183,7 +183,7 @@ def monodromy(rep: Representation, edge, end: str = "low") -> RatMatrix:
     raise ValueError("end must be 'low' or 'high'")
 
 
-def _check_invertibility(rep: Representation) -> List[Violation]:
+def check_invertibility(rep: Representation) -> List[Violation]:
     out = []
     for edge in rep.quiver.arrow_pairs:
         if not monodromy(rep, edge, "low").is_invertible():
@@ -201,7 +201,7 @@ def _diff_detail(lhs: RatMatrix, rhs: RatMatrix) -> str:
     return f"difference {lhs.sub(rhs)!r}"
 
 
-def _check_squares(rep: Representation) -> List[Violation]:
+def check_squares(rep: Representation) -> List[Violation]:
     """The four path identities on each square face (K; p, q)."""
     out = []
     q = rep.quiver
@@ -262,33 +262,36 @@ def _check_loops_pointwise(rep: Representation) -> List[Violation]:
     return out
 
 
-def _check_loops(rep: Representation) -> List[Violation]:
+def transport_violations(
+    rep: Representation, edge, label: int, op_low: RatMatrix, op_high: RatMatrix, what: str
+) -> List[Violation]:
+    """The operators of one direction at the two ends of an edge must
+    intertwine with its u and v maps."""
+    u, v = rep.u[edge], rep.v[edge]
+    checks = (
+        ("u", mat_mul(u, op_low), mat_mul(op_high, u)),
+        ("v", mat_mul(op_low, v), mat_mul(v, op_high)),
+    )
+    return [
+        Violation(
+            "loop", (edge_key(edge), label, arrow), f"{what} does not transport along {arrow}"
+        )
+        for arrow, lhs, rhs in checks
+        if lhs != rhs
+    ]
+
+
+def check_loops(rep: Representation) -> List[Violation]:
     """Pointwise loop checks plus transport along every edge whose two
     ends carry the same label (complete coverage within one chart)."""
     out = _check_loops_pointwise(rep)
     q = rep.quiver
     for edge in q.arrow_pairs:
         low, high = edge
-        shared = set(q.loops[low]) & set(q.loops[high])
-        for label in sorted(shared):
-            l_low = rep.loop_maps[(low, label)]
-            l_high = rep.loop_maps[(high, label)]
-            if mat_mul(rep.u[edge], l_low) != mat_mul(l_high, rep.u[edge]):
-                out.append(
-                    Violation(
-                        "loop",
-                        (edge_key(edge), label, "u"),
-                        "loop does not transport along u",
-                    )
-                )
-            if mat_mul(l_low, rep.v[edge]) != mat_mul(rep.v[edge], l_high):
-                out.append(
-                    Violation(
-                        "loop",
-                        (edge_key(edge), label, "v"),
-                        "loop does not transport along v",
-                    )
-                )
+        for label in sorted(set(q.loops[low]) & set(q.loops[high])):
+            out += transport_violations(
+                rep, edge, label, rep.loop_maps[(low, label)], rep.loop_maps[(high, label)], "loop"
+            )
     return out
 
 
@@ -299,7 +302,7 @@ def validate_Cn(rep: Representation) -> List[Violation]:
     n = len(ground)
     if rep.quiver != hypercube_quiver(n):
         raise ValueError("representation is not over a hypercube quiver")
-    return sorted(_check_invertibility(rep) + _check_squares(rep), key=_violation_sort_key)
+    return sorted(check_invertibility(rep) + check_squares(rep), key=violation_sort_key)
 
 
 def validate_CSigma(rep: Representation) -> List[Violation]:
@@ -309,17 +312,41 @@ def validate_CSigma(rep: Representation) -> List[Violation]:
     n = len(singles)
     if rep.quiver != arrangement_quiver(n):
         raise ValueError("representation is not over an arrangement quiver")
-    out = _check_invertibility(rep) + _check_squares(rep)
+    out = check_invertibility(rep) + check_squares(rep)
     monos = {i: monodromy(rep, ((), (i,)), "low") for i in range(1, n + 1)}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if mat_mul(monos[i], monos[j]) != mat_mul(monos[j], monos[i]):
             out.append(
                 Violation("iii", (i, j), f"monodromies {i} and {j} do not commute")
             )
-    return sorted(out, key=_violation_sort_key)
+    return sorted(out, key=violation_sort_key)
 
 
-class _DirectionResolver:
+def chart_operator(
+    rep: Representation, basis: ChartBasis, vertex: Vertex, label: int
+) -> RatMatrix:
+    """Monodromy of a chart-basis direction at a vertex: the arrow
+    monodromy for a ray of the chart's cone, the loop map otherwise."""
+    if label in basis.cone.ray_indices:
+        return monodromy(rep, (vertex, tuple(sorted(vertex + (label,)))), "low")
+    return rep.loop_maps[(vertex, label)]
+
+
+def exponent_product(
+    rep: Representation, basis: ChartBasis, vertex: Vertex, vector, operator
+) -> RatMatrix:
+    """Operator of a lattice direction at a vertex: the product, in label
+    order, of operator(rep, basis, vertex, label) raised to the direction's
+    exponents in the chart basis (labels inside the vertex are dropped)."""
+    result = RatMatrix.identity(rep.dims[vertex])
+    alpha = stratum_loop_exponents(basis, vertex, vector)
+    for label in sorted(alpha):
+        if alpha[label]:
+            result = mat_mul(result, operator(rep, basis, vertex, label).power(alpha[label]))
+    return result
+
+
+class DirectionResolver:
     """Resolves the monodromy operator of a lattice direction at a vertex.
 
     Order of resolution: the arrow monodromy when vertex + label is a
@@ -357,43 +384,14 @@ class _DirectionResolver:
 
     def _derived(self, vertex: Vertex, vector) -> RatMatrix:
         ref = loop_reference(self.fan, Cone(vertex))
-        basis = self.bases[ref]
-        alpha = stratum_loop_exponents(basis, vertex, vector)
-        result = RatMatrix.identity(self.rep.dims[vertex])
-        for label in sorted(alpha):
-            exp = alpha[label]
-            if exp == 0:
-                continue
-            if label in ref.ray_indices:
-                op = monodromy(
-                    self.rep, (vertex, tuple(sorted(vertex + (label,)))), "low"
-                )
-            else:
-                op = self.rep.loop_maps[(vertex, label)]
-            result = mat_mul(result, op.power(exp))
-        return result
+        return exponent_product(self.rep, self.bases[ref], vertex, vector, chart_operator)
+
+    def _basis_operator(self, rep, basis: ChartBasis, vertex: Vertex, label: int) -> RatMatrix:
+        return self.operator(vertex, label, basis.column(label))
 
     def expansion(self, vertex: Vertex, chart: Cone, vector) -> RatMatrix:
         """Product of chart-side operators with the exponents of vector."""
-        basis = self.bases[chart]
-        alpha = stratum_loop_exponents(basis, vertex, vector)
-        result = RatMatrix.identity(self.rep.dims[vertex])
-        for label in sorted(alpha):
-            exp = alpha[label]
-            if exp == 0:
-                continue
-            op = self.operator(vertex, label, basis.column(label))
-            result = mat_mul(result, op.power(exp))
-        return result
-
-
-def _subsets(indices) -> list:
-    indices = tuple(indices)
-    return [
-        tuple(sub)
-        for r in range(len(indices) + 1)
-        for sub in itertools.combinations(indices, r)
-    ]
+        return exponent_product(self.rep, self.bases[chart], vertex, vector, self._basis_operator)
 
 
 def validate_CDelta(
@@ -412,8 +410,8 @@ def validate_CDelta(
         bases = chart_bases(fan)
     if rep.quiver != fan_quiver(fan, bases):
         raise ValueError("representation quiver does not match the fan quiver")
-    out = _check_invertibility(rep) + _check_squares(rep) + _check_loops_pointwise(rep)
-    resolver = _DirectionResolver(rep, fan, bases)
+    out = check_invertibility(rep) + check_squares(rep) + _check_loops_pointwise(rep)
+    resolver = DirectionResolver(rep, fan, bases)
     tops = sorted(bases, key=lambda c: c.ray_indices)
     # loop transport along every edge: for each chart containing the upper
     # vertex, each completion direction's operators at the two ends must
@@ -431,25 +429,12 @@ def validate_CDelta(
                     op_high = resolver.operator(high, label, vector)
                 except NotInvertibleError:
                     continue
-                if mat_mul(rep.u[edge], op_low) != mat_mul(op_high, rep.u[edge]):
-                    out.append(
-                        Violation(
-                            "loop",
-                            (edge_key(edge), label, "u"),
-                            "monodromy direction does not transport along u",
-                        )
-                    )
-                if mat_mul(op_low, rep.v[edge]) != mat_mul(rep.v[edge], op_high):
-                    out.append(
-                        Violation(
-                            "loop",
-                            (edge_key(edge), label, "v"),
-                            "monodromy direction does not transport along v",
-                        )
-                    )
+                out += transport_violations(
+                    rep, edge, label, op_low, op_high, "monodromy direction"
+                )
     for k, kp in itertools.permutations(tops, 2):
         overlap = tuple(sorted(set(k.ray_indices) & set(kp.ray_indices)))
-        for j in _subsets(overlap):
+        for j in subsets(overlap):
             for p in bases[kp].labels:
                 if p in overlap:
                     continue
@@ -467,7 +452,7 @@ def validate_CDelta(
                             _diff_detail(lhs, rhs),
                         )
                     )
-    return sorted(out, key=_violation_sort_key)
+    return sorted(out, key=violation_sort_key)
 
 
 @dataclass
@@ -486,19 +471,10 @@ class Morphism:
             mat = self.maps.get(vtx)
             if mat is None or mat.shape != (b.dims[vtx], a.dims[vtx]):
                 return False
-        for edge in a.quiver.arrow_pairs:
-            low, high = edge
-            if mat_mul(self.maps[high], a.u[edge]) != mat_mul(b.u[edge], self.maps[low]):
-                return False
-            if mat_mul(self.maps[low], a.v[edge]) != mat_mul(b.v[edge], self.maps[high]):
-                return False
-        for vtx in a.quiver.vertices:
-            for label in a.quiver.loops[vtx]:
-                if mat_mul(self.maps[vtx], a.loop_maps[(vtx, label)]) != mat_mul(
-                    b.loop_maps[(vtx, label)], self.maps[vtx]
-                ):
-                    return False
-        return True
+        return all(
+            mat_mul(self.maps[tgt], x_a) == mat_mul(x_b, self.maps[src])
+            for src, tgt, x_a, x_b in _arrow_maps(a, b)
+        )
 
     def is_invertible(self) -> bool:
         return all(mat.is_invertible() for mat in self.maps.values())
@@ -524,77 +500,46 @@ def _kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
+def _arrow_maps(a: Representation, b: Representation):
+    """(source, target, map in a, map in b) for every u, v and loop arrow;
+    a morphism phi must satisfy phi_target.x_a = x_b.phi_source on each."""
+    q = a.quiver
+    for edge in q.arrow_pairs:
+        low, high = edge
+        yield low, high, a.u[edge], b.u[edge]
+        yield high, low, a.v[edge], b.v[edge]
+    for vtx in q.vertices:
+        for label in q.loops[vtx]:
+            yield vtx, vtx, a.loop_maps[(vtx, label)], b.loop_maps[(vtx, label)]
+
+
 def _hom_system(a: Representation, b: Representation):
     """Rows of the homogeneous system whose kernel is Hom(a, b)."""
-    q = a.quiver
     offsets = {}
     total = 0
-    for vtx in q.vertices:
+    for vtx in a.quiver.vertices:
         offsets[vtx] = total
         total += b.dims[vtx] * a.dims[vtx]
 
     rows: List[List[Fraction]] = []
-
-    def add_equation(blocks, nrows):
-        # blocks: list of (vertex, coefficient RatMatrix acting on vec(phi_vertex))
-        base = [[Fraction(0)] * total for _ in range(nrows)]
-        for vtx, coeff, sign in blocks:
+    for src, tgt, x_a, x_b in _arrow_maps(a, b):
+        # the Sylvester block of phi_tgt.x_a - x_b.phi_src on vec(phi)
+        n_rows = b.dims[tgt] * a.dims[src]
+        if not n_rows:
+            continue
+        block = [[Fraction(0)] * total for _ in range(n_rows)]
+        for vtx, coeff, sign in (
+            (tgt, _kron(RatMatrix.identity(b.dims[tgt]), x_a.transpose()), 1),
+            (src, _kron(x_b, RatMatrix.identity(a.dims[src])), -1),
+        ):
             off = offsets[vtx]
             for r in range(coeff.rows):
-                row = base[r]
+                row = block[r]
                 for c in range(coeff.cols):
                     val = coeff.entry(r, c)
                     if val:
                         row[off + c] += val if sign > 0 else -val
-        rows.extend(base)
-
-    for edge in q.arrow_pairs:
-        low, high = edge
-        # phi_high . uA = uB . phi_low
-        n_rows = b.dims[high] * a.dims[low]
-        if n_rows:
-            add_equation(
-                [
-                    (high, _kron(RatMatrix.identity(b.dims[high]), a.u[edge].transpose()), 1),
-                    (low, _kron(b.u[edge], RatMatrix.identity(a.dims[low])), -1),
-                ],
-                n_rows,
-            )
-        # phi_low . vA = vB . phi_high
-        n_rows = b.dims[low] * a.dims[high]
-        if n_rows:
-            add_equation(
-                [
-                    (low, _kron(RatMatrix.identity(b.dims[low]), a.v[edge].transpose()), 1),
-                    (high, _kron(b.v[edge], RatMatrix.identity(a.dims[high])), -1),
-                ],
-                n_rows,
-            )
-    for vtx in q.vertices:
-        for label in q.loops[vtx]:
-            n_rows = b.dims[vtx] * a.dims[vtx]
-            if n_rows:
-                add_equation(
-                    [
-                        (
-                            vtx,
-                            _kron(
-                                RatMatrix.identity(b.dims[vtx]),
-                                a.loop_maps[(vtx, label)].transpose(),
-                            ),
-                            1,
-                        ),
-                        (
-                            vtx,
-                            _kron(
-                                b.loop_maps[(vtx, label)],
-                                RatMatrix.identity(a.dims[vtx]),
-                            ),
-                            -1,
-                        ),
-                    ],
-                    n_rows,
-                )
+        rows.extend(block)
     if rows:
         system = RatMatrix.from_rows(rows)
     else:

@@ -575,3 +575,30 @@ def test_descent_json_roundtrip_with_loops():
     d = DescentDatum(fan, {cone: chart}, {}, bases=bases)
     data = descent_to_json(d)
     assert descent_from_json(data) == d
+
+
+class TestReverseDelta:
+    """A delta given only for the pair (K', K) is stored as its exact
+    inverse under the forward key (K, K')."""
+
+    def reverse_only(self, value):
+        d = p1_datum(2, Fraction(1, 2))
+        k1, k2 = Cone((1,)), Cone((2,))
+        return DescentDatum(d.fan, d.charts, {(k2, k1, ()): scalar(value)}, bases=d.bases)
+
+    def test_stores_exact_inverse_under_forward_key(self):
+        d = self.reverse_only(3)
+        k1, k2 = Cone((1,)), Cone((2,))
+        assert d.stored_deltas() == {(k1, k2, ()): scalar(Fraction(1, 3))}
+        assert d.delta(k2, k1, ()) == scalar(3)
+        assert d == p1_datum(2, Fraction(1, 2), delta=Fraction(1, 3))
+        assert validate_descent(d) == []
+
+    def test_json_emits_forward_key(self):
+        data = descent_to_json(self.reverse_only(Fraction(-2, 5)))
+        assert data["deltas"] == {"1|2|": [["-5/2"]]}
+        assert descent_to_json(descent_from_json(data)) == data
+
+    def test_singular_reverse_delta_rejected(self):
+        with pytest.raises(DescentError, match="delta for .* is singular"):
+            self.reverse_only(0)

@@ -1,0 +1,61 @@
+"""Static layering rules over the package sources.
+
+Private helpers stay inside their module, and the exponent product of a
+lattice direction (the only consumer of ``stratum_loop_exponents``) has
+exactly one implementation.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fanrep"
+
+
+def modules():
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    crossing = []
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("fanrep"):
+                continue
+            crossing += [
+                f"{name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert crossing == []
+
+
+def functions_calling(tree, callee: str) -> list:
+    """Qualified names of the innermost functions that call ``callee``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == callee:
+                found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return sorted(set(found))
+
+
+def test_stratum_loop_exponents_has_one_caller():
+    callers = [
+        f"{name}.{func}"
+        for name, tree in modules().items()
+        for func in functions_calling(tree, "stratum_loop_exponents")
+    ]
+    assert len(callers) == 1, callers
