@@ -192,6 +192,11 @@ def main():
     conj["charts"]["2,3"]["u"]["-2"] = [["1"]]
     dump("descent_p2_conjugation_bad.json", conj)
 
+    # a delta on a vertex outside its pair's overlap (1,2 and 1,3 share only ray 1)
+    stray = descent_to_json(datum)
+    stray["deltas"]["1,2|1,3|2"] = [["1"]]
+    dump("descent_p2_stray_delta.json", stray)
+
     (FIXTURES / "malformed.json").write_text("{ not json", encoding="utf-8")
     print("wrote tests/fixtures/malformed.json")
 

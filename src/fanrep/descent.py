@@ -74,11 +74,11 @@ class DescentDatum:
 
     Deltas map the first chart's space into the second's:
     delta(K, K', J): E^K_J -> E^K'_J.  Only one direction per pair needs
-    to be supplied; the reverse is the exact inverse.  delta(K, K, J) is
-    the identity.
+    to be supplied; the reverse is the exact inverse.  Both directions are
+    kept, so delta() never inverts.  delta(K, K, J) is the identity.
     """
 
-    __slots__ = ("fan", "bases", "basis_overrides", "charts", "_deltas")
+    __slots__ = ("fan", "bases", "basis_overrides", "charts", "_deltas", "_inverses")
 
     def __init__(self, fan: Fan, charts: Dict[Cone, Representation], deltas, bases=None, basis_overrides=None):
         if bases is None:
@@ -102,15 +102,25 @@ class DescentDatum:
         object.__setattr__(self, "charts", charts)
 
         stored = {}
+        inverses = {}
         for (k, kp, j), mat in dict(deltas).items():
             k = k if isinstance(k, Cone) else Cone(tuple(k))
             kp = kp if isinstance(kp, Cone) else Cone(tuple(kp))
             j = tuple(sorted(j))
             if k == kp:
                 raise DescentError("deltas must join two distinct charts")
+            if k not in charts or kp not in charts or not set(j) <= set(k.ray_indices) & set(kp.ray_indices):
+                raise DescentError(
+                    f"delta {cone_key(k)}|{cone_key(kp)}|{vertex_key(j)} does not lie "
+                    "on the overlap of two maximal cones"
+                )
             forward = k.ray_indices < kp.ray_indices
             key = (k, kp, j) if forward else (kp, k, j)
-            mat_fwd = mat if forward else _exact_inverse(mat, key)
+            if forward:
+                mat_fwd = mat
+            else:
+                mat_fwd = _exact_inverse(mat, key)
+                inverses[key] = mat
             if key in stored and stored[key] != mat_fwd:
                 raise DescentError(
                     f"deltas for {key[0].ray_indices}|{key[1].ray_indices}|{j} "
@@ -132,11 +142,15 @@ class DescentDatum:
                         f"delta {cone_key(a)}|{cone_key(b)}|{vertex_key(j)} must be "
                         f"{want[0]}x{want[1]}, got {mat.rows}x{mat.cols}"
                     )
-                if not mat.is_invertible():
-                    raise DescentError(
-                        f"delta {cone_key(a)}|{cone_key(b)}|{vertex_key(j)} is singular"
-                    )
+                if key not in inverses:
+                    try:
+                        inverses[key] = invert(mat)
+                    except NotInvertibleError:
+                        raise DescentError(
+                            f"delta {cone_key(a)}|{cone_key(b)}|{vertex_key(j)} is singular"
+                        )
         object.__setattr__(self, "_deltas", stored)
+        object.__setattr__(self, "_inverses", inverses)
 
     def __setattr__(self, name, value):
         raise AttributeError("DescentDatum is immutable")
@@ -147,7 +161,7 @@ class DescentDatum:
             return RatMatrix.identity(self.charts[k].dims[j])
         if k.ray_indices < kp.ray_indices:
             return self._deltas[(k, kp, j)]
-        return invert(self._deltas[(kp, k, j)])
+        return self._inverses[(kp, k, j)]
 
     def stored_deltas(self) -> Dict[Tuple[Cone, Cone, Vertex], RatMatrix]:
         return dict(self._deltas)
@@ -195,12 +209,8 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
                     continue
                 jp = tuple(sorted(j + (p,)))
                 edge = (j, jp)
-                try:
-                    dj = d.delta(a, b, j)
-                    djp_inv = invert(d.delta(a, b, jp))
-                except NotInvertibleError:
-                    continue
-                lhs_u = mat_mul(mat_mul(djp_inv, cb.u[edge]), dj)
+                dj = d.delta(a, b, j)
+                lhs_u = mat_mul(mat_mul(d.delta(b, a, jp), cb.u[edge]), dj)
                 if lhs_u != ca.u[edge]:
                     out.append(
                         Violation(
@@ -209,8 +219,8 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
                             "delta does not conjugate the shared u map",
                         )
                     )
-                lhs_v = mat_mul(mat_mul(invert(dj), cb.v[edge]), d.delta(a, b, jp))
-                if lhs_v != ca.v[edge]:
+                # dj^-1 . v_b . djp == v_a, multiplied through by dj
+                if mat_mul(cb.v[edge], d.delta(a, b, jp)) != mat_mul(dj, ca.v[edge]):
                     out.append(
                         Violation(
                             "conjugation",
@@ -224,17 +234,14 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
         ca, cb = d.charts[a], d.charts[b]
         basis_a, basis_b = d.bases[a], d.bases[b]
         for j in subsets(sorted(overlap)):
-            try:
-                dj = d.delta(a, b, j)
-                dj_inv = invert(dj)
-            except NotInvertibleError:
-                continue
+            dj = d.delta(a, b, j)
             for p in basis_b.labels:
                 if p in overlap:
                     continue
+                # dj^-1 . op_b . dj == the exponent product, multiplied through by dj
                 try:
-                    lhs = mat_mul(mat_mul(dj_inv, chart_operator(cb, basis_b, j, p)), dj)
-                    rhs = exponent_product(ca, basis_a, j, basis_b.column(p), chart_operator)
+                    lhs = mat_mul(chart_operator(cb, basis_b, j, p), dj)
+                    rhs = mat_mul(dj, exponent_product(ca, basis_a, j, basis_b.column(p), chart_operator))
                 except NotInvertibleError:
                     continue  # the chart validity section already reports this
                 if lhs != rhs:

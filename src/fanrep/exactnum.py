@@ -4,13 +4,19 @@ Scalars are ``fractions.Fraction`` (arbitrary precision, always reduced,
 positive denominator); floats are never used, so invertibility and rank
 decisions are exact.  Matrices act on column vectors: ``mat_mul(a, b)``
 is the map "apply b, then a".
+
+The rational kernels (products, inverses, determinants, invertibility,
+row echelon forms and nullspaces) run on Python ints: each row or column
+is cleared of denominators once, the elimination is fraction-free over Z
+(Bareiss 1968), and Fractions are built only for the output entries.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -22,6 +28,7 @@ __all__ = [
     "NotInvertibleError",
     "NotCompletableError",
     "parse_rational",
+    "parse_int",
     "format_rational",
     "mat_mul",
     "invert",
@@ -57,6 +64,15 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def parse_int(value, where: str) -> int:
+    """A JSON integer, returned as is.  Anything else (a float such as 1.9
+    or 2.0, a boolean, a string) raises ValueError naming ``where``, so no
+    value is truncated on its way in."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be a JSON integer, got {value!r}")
+    return value
+
+
 def format_rational(x: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
     x = Fraction(x)
@@ -66,9 +82,52 @@ def format_rational(x: Fraction) -> str:
 
 
 def _as_fraction(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact matrices")
     return Fraction(x)
+
+
+def _scaled(values) -> tuple:
+    """(d, ints) with d the lcm of the denominators and values[i] == ints[i] / d."""
+    den = lcm(*[x.denominator for x in values])
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def _primitive(row: list) -> list:
+    """The integer row divided by the gcd of its entries (a zero row as is)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _bareiss_det(m: list) -> int:
+    """Determinant of the square integer matrix with rows m, by Bareiss
+    fraction-free elimination (every division is exact).  The list m is
+    reordered and its rows replaced; the row lists themselves are not
+    modified.
+
+    After step c the leading column is finished, so each remaining row
+    drops it and the pivot column is always index 0.
+    """
+    n = len(m)
+    sign = 1
+    prev = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][0]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        p = m[c][0]
+        tail = m[c][1:]
+        for r in range(c + 1, n):
+            row = m[r]
+            f = row[0]
+            m[r] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+        prev = p
+    return sign * prev
 
 
 class RatMatrix:
@@ -88,6 +147,16 @@ class RatMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "RatMatrix":
+        """Matrix over a tuple of rows*cols Fractions built by this module;
+        skips the coercion and checks of the public constructor."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -142,29 +211,29 @@ class RatMatrix:
         )
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
+        return RatMatrix._trusted(
             self.cols,
             self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
+            tuple(x for j in range(self.cols) for x in self.entries[j :: self.cols]),
         )
 
     def add(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return RatMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
+        return RatMatrix._trusted(
+            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
         )
 
     def sub(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return RatMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)]
+        return RatMatrix._trusted(
+            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
         )
 
     def scale(self, x) -> "RatMatrix":
         x = _as_fraction(x)
-        return RatMatrix(self.rows, self.cols, [x * a for a in self.entries])
+        return RatMatrix._trusted(self.rows, self.cols, tuple(x * a for a in self.entries))
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         return mat_mul(self, other)
@@ -198,13 +267,11 @@ class RatMatrix:
         return invert(self)
 
     def is_invertible(self) -> bool:
+        """Decided by the Bareiss determinant of the row-scaled integer
+        matrix; builds no inverse."""
         if self.rows != self.cols:
             return False
-        try:
-            invert(self)
-        except NotInvertibleError:
-            return False
-        return True
+        return _bareiss_det([_scaled(self.row(i))[1] for i in range(self.rows)]) != 0
 
     def power(self, k: int) -> "RatMatrix":
         """Exact integer power; negative exponents go through the inverse."""
@@ -223,23 +290,10 @@ class RatMatrix:
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        a = self.to_rows()
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = 1 / a[c][c]
-            for r in range(c + 1, n):
-                if a[r][c] != 0:
-                    f = a[r][c] * inv
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return det
+        scaled = [_scaled(self.row(i)) for i in range(self.rows)]
+        return Fraction(
+            _bareiss_det([row for _, row in scaled]), prod(d for d, _ in scaled)
+        )
 
     def to_json(self) -> list:
         return [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
@@ -265,68 +319,87 @@ class RatMatrix:
         for i in range(b.rows):
             entries.extend([Fraction(0)] * a.cols)
             entries.extend(b.row(i))
-        return RatMatrix(rows, cols, entries)
+        return RatMatrix._trusted(rows, cols, tuple(entries))
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Exact product a.b; as column-vector maps this applies b first, then a."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.shape} . {b.shape}")
-    out = []
-    bt = b.transpose()
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            bcol = bt.row(j)
-            out.append(sum((x * y for x, y in zip(arow, bcol)), Fraction(0)))
-    return RatMatrix(a.rows, b.cols, out)
+    rows = [_scaled(a.row(i)) for i in range(a.rows)]
+    cols = [_scaled(b.entries[j :: b.cols]) for j in range(b.cols)]
+    return RatMatrix._trusted(
+        a.rows,
+        b.cols,
+        tuple(Fraction(sum(map(mul, x, y)), dx * dy) for dx, x in rows for dy, y in cols),
+    )
 
 
 def invert(a: RatMatrix) -> RatMatrix:
-    """Exact inverse by Gauss-Jordan elimination over Q.
+    """Exact inverse by fraction-free Gauss-Jordan elimination over Z.
 
-    Raises NotInvertibleError when the rank is deficient; this signal is
-    what the representation validators rely on.
+    Row i of ``a`` is d_i times an integer row; the integer matrix is
+    reduced next to the identity with Bareiss steps, which ends with every
+    pivot equal to the last one, p.  The right block R then satisfies
+    a^-1[i][j] = R[i][j] * d_j / p.  Raises NotInvertibleError when the
+    rank is deficient; this signal is what the representation validators
+    rely on.
     """
     if not a.is_square():
         raise NotInvertibleError(f"matrix is {a.rows}x{a.cols}, not square")
     n = a.rows
-    m = [list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    scales = []
+    m = []
+    for i in range(n):
+        d, row = _scaled(a.row(i))
+        scales.append(d)
+        m.append(row + [int(i == j) for j in range(n)])
+    prev = 1
     for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        # as in _bareiss_det, the finished column c is dropped from every row
+        piv = next((r for r in range(c, n) if m[r][0]), None)
         if piv is None:
             raise NotInvertibleError(f"rank < {n}")
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
+        p = m[c][0]
+        tail = m[c][1:]
         for r in range(n):
-            if r != c and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return RatMatrix.from_rows([row[n:] for row in m])
+            if r != c:
+                row = m[r]
+                f = row[0]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+        m[c] = tail
+        prev = p
+    return RatMatrix._trusted(
+        n, n, tuple(Fraction(x * d, prev) for row in m for x, d in zip(row, scales))
+    )
 
 
 def _rref(a: RatMatrix) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = a.to_rows()
+    """Reduced row echelon form over Z; returns (rows, pivot column list).
+
+    Each row is a primitive integer vector.  Row r divided by its entry in
+    column pivots[r] is row r of the rational reduced row echelon form.
+    """
     nrows, ncols = a.rows, a.cols
+    m = [_primitive(_scaled(a.row(i))[1]) for i in range(nrows)]
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        pivot_row = m[r]
+        p = pivot_row[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = _primitive([p * x - f * y for x, y in zip(m[i], pivot_row)])
         pivots.append(c)
         r += 1
     return m, pivots
@@ -341,14 +414,16 @@ def solve_nullspace(a: RatMatrix) -> list:
     """
     m, pivots = _rref(a)
     n = a.cols
-    free = [c for c in range(n) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivot_set:
+            continue
         vec = [Fraction(0)] * n
         vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -m[r][f]
-        basis.append(RatMatrix.column(vec))
+        for row, c in zip(m, pivots):
+            vec[c] = Fraction(-row[f], row[c])
+        basis.append(RatMatrix._trusted(n, 1, tuple(vec)))
     return basis
 
 
@@ -448,25 +523,7 @@ class IntMatrix:
         """Exact determinant by Bareiss fraction-free elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for c in range(n - 1):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                sign = -sign
-            for r in range(c + 1, n):
-                for j in range(c + 1, n):
-                    a[r][j] = (a[r][j] * a[c][c] - a[r][c] * a[c][j]) // prev
-                a[r][c] = 0
-            prev = a[c][c]
-        return sign * a[n - 1][n - 1]
+        return _bareiss_det(self.to_rows())
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1

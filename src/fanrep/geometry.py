@@ -19,6 +19,7 @@ from .exactnum import (
     complete_to_unimodular,
     invert,
     is_primitive,
+    parse_int,
     rank,
 )
 
@@ -335,14 +336,25 @@ def fan_from_json(data: dict) -> tuple:
     if not isinstance(data, dict):
         raise ValueError("fan JSON must be an object")
     try:
-        dim = int(data["dim"])
-        rays = [tuple(int(x) for x in ray) for ray in data["rays"]]
-        cones = [tuple(int(i) for i in cone) for cone in data["cones"]]
+        dim = parse_int(data["dim"], "dim")
+        rays = [
+            tuple(parse_int(x, f"rays[{i}][{k}]") for k, x in enumerate(ray))
+            for i, ray in enumerate(data["rays"])
+        ]
+        cones = [
+            tuple(parse_int(x, f"cones[{i}][{k}]") for k, x in enumerate(cone))
+            for i, cone in enumerate(data["cones"])
+        ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed fan JSON: {exc}")
     fan = Fan(dim, rays, cones)
     overrides = {}
     for key, rows in data.get("bases", {}).items():
-        mat = IntMatrix.from_rows([[int(x) for x in row] for row in rows])
+        mat = IntMatrix.from_rows(
+            [
+                [parse_int(x, f'bases["{key}"][{i}][{k}]') for k, x in enumerate(row)]
+                for i, row in enumerate(rows)
+            ]
+        )
         overrides[parse_cone_key(key)] = mat
     return fan, overrides

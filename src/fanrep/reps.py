@@ -20,6 +20,7 @@ from .exactnum import (
     NotInvertibleError,
     RatMatrix,
     mat_mul,
+    parse_int,
     solve_nullspace,
 )
 from .geometry import ChartBasis, Cone, Fan, chart_bases, cone_key, loop_reference
@@ -695,7 +696,8 @@ def rep_from_json(data: dict, quiver: Optional[Quiver] = None) -> Representation
         raise ValueError("representation JSON has no quiver and none was supplied")
     try:
         dims = {
-            parse_vertex_key(key): int(value) for key, value in data["dims"].items()
+            parse_vertex_key(key): parse_int(value, f'dims["{key}"]')
+            for key, value in data["dims"].items()
         }
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed representation JSON: {exc}")

@@ -1,0 +1,134 @@
+"""Fraction Gauss-Jordan kernels kept as the reference for differential tests.
+
+These are the rational kernels ``fanrep.exactnum`` used before its loops
+moved to fraction-free integer elimination.  Every product, inverse,
+determinant and reduced row echelon form is unique, so the integer
+kernels must return exactly the same Fractions and raise
+``NotInvertibleError`` on exactly the same inputs.
+"""
+
+from fractions import Fraction
+
+from fanrep.exactnum import NotInvertibleError, RatMatrix
+
+
+def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Exact product a.b; as column-vector maps this applies b first, then a."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.shape} . {b.shape}")
+    out = []
+    bt = b.transpose()
+    for i in range(a.rows):
+        arow = a.row(i)
+        for j in range(b.cols):
+            bcol = bt.row(j)
+            out.append(sum((x * y for x, y in zip(arow, bcol)), Fraction(0)))
+    return RatMatrix(a.rows, b.cols, out)
+
+
+def invert(a: RatMatrix) -> RatMatrix:
+    """Exact inverse by Gauss-Jordan elimination over Q.
+
+    Raises NotInvertibleError when the rank is deficient; this signal is
+    what the representation validators rely on.
+    """
+    if not a.is_square():
+        raise NotInvertibleError(f"matrix is {a.rows}x{a.cols}, not square")
+    n = a.rows
+    m = [list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            raise NotInvertibleError(f"rank < {n}")
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return RatMatrix.from_rows([row[n:] for row in m])
+
+
+def _rref(a: RatMatrix) -> tuple:
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    m = a.to_rows()
+    nrows, ncols = a.rows, a.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def solve_nullspace(a: RatMatrix) -> list:
+    """Echelon-normalized basis of {x : a.x = 0}, as n x 1 columns.
+
+    Basis vectors are indexed by the free columns in increasing order;
+    each has entry 1 at its free coordinate and 0 at the other free
+    coordinates, so the output is deterministic.
+    """
+    m, pivots = _rref(a)
+    n = a.cols
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][f]
+        basis.append(RatMatrix.column(vec))
+    return basis
+
+
+def rank(a: RatMatrix) -> int:
+    return len(_rref(a)[1])
+
+
+def det(self: RatMatrix) -> Fraction:
+    """``RatMatrix.det`` by Fraction Gaussian elimination."""
+    if not self.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    n = self.rows
+    a = self.to_rows()
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = 1 / a[c][c]
+        for r in range(c + 1, n):
+            if a[r][c] != 0:
+                f = a[r][c] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def is_invertible(self: RatMatrix) -> bool:
+    """``RatMatrix.is_invertible`` by building the Gauss-Jordan inverse."""
+    if self.rows != self.cols:
+        return False
+    try:
+        invert(self)
+    except NotInvertibleError:
+        return False
+    return True

@@ -79,6 +79,7 @@ CASES = [
     (("descent", "check", fx("descent_p2_ok.json")), 0, "ok"),
     (("descent", "check", fx("descent_p2_cocycle_bad.json")), 1, "violation"),
     (("descent", "check", fx("descent_p2_conjugation_bad.json")), 1, "violation"),
+    (("descent", "check", fx("descent_p2_stray_delta.json")), 2, "error"),
     (("descent", "check", fx("malformed.json")), 2, "error"),
     (("descent", "glue", fx("descent_p1_ok.json")), 0, "ok"),
     (("descent", "glue", fx("descent_p1_transport_bad.json")), 1, "violation"),
@@ -136,6 +137,39 @@ def test_glue_output_is_valid_rep_json(capsys):
     assert payload["validation"] == "ok"
     rep = rep_from_json(payload["representation"])
     assert rep.dims[()] == 1
+
+
+NON_INTEGERS = [
+    # (fixture, path to one integer, non-integer put there, command, location in the error)
+    ("fan_p1.json", ("rays", 0, 0), 1.9, ("fan", "validate"), "rays[0][0]"),
+    ("fan_p1.json", ("dim",), True, ("fan", "validate"), "dim"),
+    ("fan_p1.json", ("cones", 1, 0), 1.0, ("fan", "validate"), "cones[1][0]"),
+    ("fan_cxcstar_override.json", ("bases", "1", 0, 0), 1.0, ("fan", "dual"), 'bases["1"][0][0]'),
+    ("rep_cn_ok.json", ("dims", ""), 1.5, ("rep", "validate"), 'dims[""]'),
+    ("rep_cn_ok.json", ("dims", "1"), True, ("rep", "validate"), 'dims["1"]'),
+    ("rep_loop2.json", ("quiver", "loops", "", 0), 1.5, ("rep", "hom"), 'loops[""][0]'),
+]
+
+
+@pytest.mark.parametrize(
+    "name,path,value,command,where", NON_INTEGERS, ids=[case[-1] for case in NON_INTEGERS]
+)
+def test_non_integer_json_is_a_parse_error(tmp_path, capsys, name, path, value, command, where):
+    data = json.loads((FIXTURES / name).read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target = tmp_path / name
+    target.write_text(json.dumps(data))
+    argv = [*command, str(target)]
+    if command == ("rep", "validate"):
+        argv += ["--category", "cn"]
+    elif command == ("rep", "hom"):
+        argv.append(str(target))
+    code, payload = invoke(capsys, *argv)
+    assert (code, payload["error"]) == (2, "parse")
+    assert f"{where} must be a JSON integer, got {value!r}" in payload["detail"]
 
 
 def canonical(data) -> str:

@@ -602,3 +602,22 @@ class TestReverseDelta:
     def test_singular_reverse_delta_rejected(self):
         with pytest.raises(DescentError, match="delta for .* is singular"):
             self.reverse_only(0)
+
+
+class TestStrayDelta:
+    """A delta must sit on a vertex of the overlap of two maximal cones."""
+
+    def with_extra(self, key):
+        d, _ = p2_descent_from_rep()
+        deltas = d.stored_deltas()
+        deltas[key] = scalar(1)
+        return DescentDatum(d.fan, d.charts, deltas, bases=d.bases)
+
+    def test_vertex_outside_overlap_rejected(self):
+        # (1,2) and (1,3) share only ray 1
+        with pytest.raises(DescentError, match=r"delta 1,2\|1,3\|2 does not lie on the overlap"):
+            self.with_extra((Cone((1, 2)), Cone((1, 3)), (2,)))
+
+    def test_non_maximal_cone_rejected(self):
+        with pytest.raises(DescentError, match=r"delta 1\|1,2\|1 does not lie on the overlap"):
+            self.with_extra((Cone((1,)), Cone((1, 2)), (1,)))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_kernels as ref
 from fanrep.exactnum import (
     IntMatrix,
     NotCompletableError,
@@ -16,6 +17,7 @@ from fanrep.exactnum import (
     invert,
     mat_mul,
     parse_rational,
+    rank,
     smith_normal_form,
     solve_nullspace,
 )
@@ -250,8 +252,6 @@ def test_nullspace_dimension_matches_rank(data):
     c = data.draw(st.integers(min_value=1, max_value=4))
     a = data.draw(rat_matrices(r, c))
     basis = solve_nullspace(a)
-    from fanrep.exactnum import rank
-
     assert len(basis) == c - rank(a)
     for vec in basis:
         assert mat_mul(a, vec).is_zero()
@@ -263,3 +263,114 @@ def test_power_negative_exponent():
     b = rat([[1, 1], [0, 1]])
     assert b.power(-1) == rat([[1, -1], [0, 1]])
     assert b.power(0) == RatMatrix.identity(2)
+
+
+# --- differential tests: the integer kernels against the Fraction reference ---
+
+# zeros make singular and rank-deficient matrices common; large
+# denominators exercise the row scaling
+kernel_entries = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+    ),
+)
+
+
+@st.composite
+def kernel_matrices(draw, rows=None, cols=None):
+    """A matrix of 0..4 rows and columns (0xk and kx0 included); one in
+    three is a product through a narrower inner dimension, so its rank is
+    deficient."""
+    r = draw(st.integers(min_value=0, max_value=4)) if rows is None else rows
+    c = draw(st.integers(min_value=0, max_value=4)) if cols is None else cols
+    if min(r, c) > 0 and draw(st.integers(min_value=0, max_value=2)) == 0:
+        inner = draw(st.integers(min_value=0, max_value=min(r, c) - 1))
+        left = draw(rat_matrices(r, inner, kernel_entries))
+        right = draw(rat_matrices(inner, c, kernel_entries))
+        return ref.mat_mul(left, right)
+    return draw(rat_matrices(r, c, kernel_entries))
+
+
+def assert_identical(got: RatMatrix, want: RatMatrix):
+    assert got.shape == want.shape
+    assert got.entries == want.entries
+    assert all(type(x) is Fraction for x in got.entries)
+
+
+def outcome(kernel, a):
+    try:
+        return kernel(a)
+    except NotInvertibleError:
+        return NotInvertibleError
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_mat_mul_matches_reference(data):
+    a = data.draw(kernel_matrices())
+    b = data.draw(kernel_matrices(rows=a.cols))
+    assert_identical(mat_mul(a, b), ref.mat_mul(a, b))
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_square_kernels_match_reference(data):
+    n = data.draw(st.integers(min_value=0, max_value=4))
+    a = data.draw(kernel_matrices(rows=n, cols=n))
+    got, want = outcome(invert, a), outcome(ref.invert, a)
+    if want is NotInvertibleError:
+        assert got is NotInvertibleError
+    else:
+        assert_identical(got, want)
+    assert a.is_invertible() == ref.is_invertible(a)
+    det = a.det()
+    assert type(det) is Fraction and det == ref.det(a)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_non_square_is_never_invertible(data):
+    n = data.draw(st.integers(min_value=0, max_value=4))
+    m = data.draw(st.integers(min_value=0, max_value=4).filter(lambda m: m != n))
+    a = data.draw(kernel_matrices(rows=n, cols=m))
+    assert outcome(invert, a) is NotInvertibleError
+    assert not a.is_invertible()
+
+
+@given(kernel_matrices())
+@settings(max_examples=150)
+def test_nullspace_and_rank_match_reference(a):
+    got, want = solve_nullspace(a), ref.solve_nullspace(a)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert_identical(x, y)
+    assert rank(a) == ref.rank(a)
+
+
+@given(int_matrices(max_dim=4))
+def test_int_det_matches_reference(a):
+    if a.rows == a.cols:
+        assert a.det() == ref.det(a.to_rational())
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_kernels_agree_with_sympy(data):
+    sympy = pytest.importorskip("sympy")
+
+    def exact(m):
+        return tuple(Fraction(int(x.p), int(x.q)) for x in m)
+
+    a = data.draw(kernel_matrices())
+    m = sympy.Matrix(a.rows, a.cols, [sympy.Rational(x.numerator, x.denominator) for x in a.entries])
+    assert rank(a) == m.rank()
+    # sympy normalizes its nullspace basis the same way: 1 at each free column
+    assert [vec.entries for vec in solve_nullspace(a)] == [exact(vec) for vec in m.nullspace()]
+    if a.rows == a.cols:
+        assert a.det() == exact([m.det()])[0]
+        if a.is_invertible():
+            assert invert(a).entries == exact(m.inv())
