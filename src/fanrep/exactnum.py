@@ -29,6 +29,7 @@ __all__ = [
     "NotCompletableError",
     "parse_rational",
     "parse_int",
+    "parse_ints",
     "format_rational",
     "mat_mul",
     "invert",
@@ -71,6 +72,12 @@ def parse_int(value, where: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{where} must be a JSON integer, got {value!r}")
     return value
+
+
+def parse_ints(values, where: str) -> tuple:
+    """A JSON list of integers as a tuple; item k is checked by parse_int
+    as ``where[k]``."""
+    return tuple(parse_int(x, f"{where}[{k}]") for k, x in enumerate(values))
 
 
 def format_rational(x: Fraction) -> str:

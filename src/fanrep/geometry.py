@@ -20,6 +20,7 @@ from .exactnum import (
     invert,
     is_primitive,
     parse_int,
+    parse_ints,
     rank,
 )
 
@@ -337,24 +338,15 @@ def fan_from_json(data: dict) -> tuple:
         raise ValueError("fan JSON must be an object")
     try:
         dim = parse_int(data["dim"], "dim")
-        rays = [
-            tuple(parse_int(x, f"rays[{i}][{k}]") for k, x in enumerate(ray))
-            for i, ray in enumerate(data["rays"])
-        ]
-        cones = [
-            tuple(parse_int(x, f"cones[{i}][{k}]") for k, x in enumerate(cone))
-            for i, cone in enumerate(data["cones"])
-        ]
+        rays = [parse_ints(ray, f"rays[{i}]") for i, ray in enumerate(data["rays"])]
+        cones = [parse_ints(cone, f"cones[{i}]") for i, cone in enumerate(data["cones"])]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed fan JSON: {exc}")
     fan = Fan(dim, rays, cones)
     overrides = {}
     for key, rows in data.get("bases", {}).items():
         mat = IntMatrix.from_rows(
-            [
-                [parse_int(x, f'bases["{key}"][{i}][{k}]') for k, x in enumerate(row)]
-                for i, row in enumerate(rows)
-            ]
+            [parse_ints(row, f'bases["{key}"][{i}]') for i, row in enumerate(rows)]
         )
         overrides[parse_cone_key(key)] = mat
     return fan, overrides

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from .exactnum import parse_int
+from .exactnum import parse_ints
 from .geometry import Cone, Fan, chart_bases, loop_reference
 
 Vertex = Tuple[int, ...]
@@ -204,19 +204,16 @@ def quiver_to_json(q: Quiver) -> dict:
 def quiver_from_json(data: dict) -> Quiver:
     if not isinstance(data, dict):
         raise ValueError("quiver JSON must be an object")
-    def ints(values, where):
-        return tuple(parse_int(x, f"{where}[{k}]") for k, x in enumerate(values))
-
     try:
-        vertices = [ints(v, f"vertices[{i}]") for i, v in enumerate(data["vertices"])]
+        vertices = [parse_ints(v, f"vertices[{i}]") for i, v in enumerate(data["vertices"])]
         pairs = [
-            (ints(a["low"], f'arrows[{i}]["low"]'), ints(a["high"], f'arrows[{i}]["high"]'))
+            (parse_ints(a["low"], f'arrows[{i}]["low"]'), parse_ints(a["high"], f'arrows[{i}]["high"]'))
             for i, a in enumerate(data["arrows"])
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed quiver JSON: {exc}")
     loops = {
-        parse_vertex_key(key): ints(labels, f'loops["{key}"]')
+        parse_vertex_key(key): parse_ints(labels, f'loops["{key}"]')
         for key, labels in data.get("loops", {}).items()
     }
     return Quiver(vertices, pairs, loops)
