@@ -15,7 +15,7 @@ from typing import Optional
 
 from .charts import CocycleError, check_cocycle, gluing_map
 from .descent import DescentError, descent_from_json, glue, validate_descent
-from .exactnum import NotCompletableError
+from .exactnum import NotCompletableError, parse_digits
 from .geometry import (
     FanError,
     chart_bases,
@@ -67,20 +67,21 @@ class ParseFailure(Exception):
         super().__init__(detail)
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse, keep=()):
+    """parse(the JSON in path).  A read, JSON or parse error becomes a
+    ParseFailure naming path, except an error of type keep (none by
+    default), which is raised as it is."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"{path} is not valid JSON: {exc}")
-
-
-def _load_fan(path: str):
-    data = _load_json(path)
     try:
-        return fan_from_json(data)
+        return parse(data)
+    except keep:
+        raise
     except (ValueError, TypeError) as exc:
         raise ParseFailure(f"{path}: {exc}")
 
@@ -97,7 +98,7 @@ def _single_violation(condition: str, detail: str) -> CommandResult:
 
 
 def cmd_fan_validate(path: str) -> CommandResult:
-    fan, overrides = _load_fan(path)
+    fan, overrides = _load(path, fan_from_json)
     try:
         validate_fan(fan)
     except FanError as exc:
@@ -119,7 +120,7 @@ def cmd_fan_validate(path: str) -> CommandResult:
 
 
 def cmd_fan_dual(path: str) -> CommandResult:
-    fan, overrides = _load_fan(path)
+    fan, overrides = _load(path, fan_from_json)
     try:
         validate_fan(fan)
         bases = chart_bases(fan, overrides)
@@ -137,7 +138,7 @@ def cmd_fan_dual(path: str) -> CommandResult:
 
 
 def cmd_fan_gluing(path: str) -> CommandResult:
-    fan, overrides = _load_fan(path)
+    fan, overrides = _load(path, fan_from_json)
     try:
         validate_fan(fan)
         bases = chart_bases(fan, overrides)
@@ -156,7 +157,7 @@ def cmd_fan_gluing(path: str) -> CommandResult:
 
 def cmd_quiver_build(target: str, family: str) -> CommandResult:
     if family == "fan":
-        fan, overrides = _load_fan(target)
+        fan, overrides = _load(target, fan_from_json)
         try:
             validate_fan(fan)
             quiver = fan_quiver(fan, chart_bases(fan, overrides))
@@ -164,7 +165,7 @@ def cmd_quiver_build(target: str, family: str) -> CommandResult:
             return _single_violation(exc.axiom, exc.detail)
     else:
         try:
-            n = int(target)
+            n = parse_digits(target, "n")
         except ValueError:
             raise ParseFailure(f"--family {family} expects an integer, got {target!r}")
         try:
@@ -177,27 +178,18 @@ def cmd_quiver_build(target: str, family: str) -> CommandResult:
     return CommandResult("ok", {"quiver": quiver_to_json(quiver)})
 
 
-def _load_rep(path: str, quiver=None):
-    data = _load_json(path)
-    try:
-        return rep_from_json(data, quiver=quiver)
-    except ShapeError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ParseFailure(f"{path}: {exc}")
-
-
 def cmd_rep_validate(path: str, category: str, fan_path: Optional[str]) -> CommandResult:
     if category == "cdelta":
         if fan_path is None:
             raise ParseFailure("--category cdelta requires --fan")
-        fan, overrides = _load_fan(fan_path)
+        fan, overrides = _load(fan_path, fan_from_json)
         validate_fan(fan)
         bases = chart_bases(fan, overrides)
-        rep = _load_rep(path, quiver=fan_quiver(fan, bases))
+        quiver = fan_quiver(fan, bases)
+        rep = _load(path, lambda data: rep_from_json(data, quiver=quiver), ShapeError)
         violations = validate_CDelta(rep, fan, bases)
     else:
-        rep = _load_rep(path)
+        rep = _load(path, rep_from_json, ShapeError)
         validator = {"cn": validate_Cn, "csigma": validate_CSigma}[category]
         violations = validator(rep)
     if violations:
@@ -206,8 +198,8 @@ def cmd_rep_validate(path: str, category: str, fan_path: Optional[str]) -> Comma
 
 
 def _load_rep_pair(path_a: str, path_b: str):
-    a = _load_rep(path_a)
-    b = _load_rep(path_b)
+    a = _load(path_a, rep_from_json, ShapeError)
+    b = _load(path_b, rep_from_json, ShapeError)
     if a.quiver != b.quiver:
         raise ParseFailure("representations live on different quivers")
     return a, b
@@ -230,18 +222,8 @@ def cmd_rep_iso(path_a: str, path_b: str, seed: int, max_attempts: int) -> Comma
     return CommandResult("ok", payload)
 
 
-def _load_descent(path: str):
-    data = _load_json(path)
-    try:
-        return descent_from_json(data)
-    except DescentError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ParseFailure(f"{path}: {exc}")
-
-
 def cmd_descent_check(path: str) -> CommandResult:
-    datum = _load_descent(path)
+    datum = _load(path, descent_from_json, DescentError)
     violations = validate_descent(datum)
     if violations:
         return CommandResult("violation", _violations_payload(violations))
@@ -249,11 +231,13 @@ def cmd_descent_check(path: str) -> CommandResult:
 
 
 def cmd_descent_glue(path: str) -> CommandResult:
-    datum = _load_descent(path)
-    violations = validate_descent(datum)
-    if violations:
-        return CommandResult("violation", _violations_payload(violations))
-    glued = glue(datum)
+    datum = _load(path, descent_from_json, DescentError)
+    try:
+        glued = glue(datum)
+    except DescentError as exc:
+        if not exc.violations:
+            raise
+        return CommandResult("violation", _violations_payload(exc.violations))
     self_check = validate_CDelta(glued, datum.fan, datum.bases)
     return CommandResult(
         "ok",

@@ -60,7 +60,12 @@ __all__ = [
 
 
 class DescentError(ValueError):
-    """Structural problem with a descent datum (shapes, missing pieces)."""
+    """Structural problem with a descent datum (shapes, missing pieces).
+    ``violations`` is empty except for an invalid datum given to glue."""
+
+    def __init__(self, message: str, violations=()):
+        super().__init__(message)
+        self.violations = list(violations)
 
 
 def chart_quiver(fan: Fan, bases: Dict[Cone, ChartBasis], cone: Cone) -> Quiver:
@@ -280,12 +285,13 @@ def glue(d: DescentDatum) -> Representation:
 
     Each vertex is owned by the lexicographically first maximal cone
     containing it; arrows whose two ends have different owners are routed
-    through the owning charts' delta.
+    through the owning charts' delta.  An invalid datum raises DescentError
+    with the sorted list of its violations in ``violations``.
     """
     violations = validate_descent(d)
     if violations:
         raise DescentError(
-            f"descent datum is invalid; first violation: {violations[0]}"
+            f"descent datum is invalid; first violation: {violations[0]}", violations
         )
     fan = d.fan
     bases = d.bases
@@ -343,8 +349,7 @@ def section(rep: Representation, fan: Fan, bases=None, basis_overrides=None) -> 
         loops = {}
         for vtx in quiver.vertices:
             for label in quiver.loops[vtx]:
-                vector = bases[cone].column(label)
-                loops[(vtx, label)] = resolver.operator(vtx, label, vector)
+                loops[(vtx, label)] = resolver.operator(vtx, label)
         charts[cone] = Representation(quiver, dims, u, v, loops)
     deltas = {}
     for a, b in itertools.combinations(tops, 2):

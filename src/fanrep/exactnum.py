@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -30,6 +30,7 @@ __all__ = [
     "parse_rational",
     "parse_int",
     "parse_ints",
+    "parse_digits",
     "format_rational",
     "mat_mul",
     "invert",
@@ -78,6 +79,15 @@ def parse_ints(values, where: str) -> tuple:
     """A JSON list of integers as a tuple; item k is checked by parse_int
     as ``where[k]``."""
     return tuple(parse_int(x, f"{where}[{k}]") for k, x in enumerate(values))
+
+
+def parse_digits(text: str, where: str) -> int:
+    """The integer written in text, which must be ASCII digits only: a
+    sign, a space, an underscore or a non-ASCII digit raises ValueError
+    naming ``where``, where int() would accept it."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{where} must be ASCII digits, got {text!r}")
+    return int(text)
 
 
 def format_rational(x: Fraction) -> str:
@@ -137,13 +147,15 @@ def _bareiss_det(m: list) -> int:
     return sign * prev
 
 
-class RatMatrix:
-    """Immutable rational matrix.  0xk and kx0 shapes are legal."""
+class _Matrix:
+    """Immutable dense matrix, entries in row-major order.  A subclass sets
+    ``_scalar``, the coercion of each entry, and ``_format``, the text of
+    an entry in ``repr``."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        entries = tuple(_as_fraction(x) for x in entries)
+        entries = tuple(map(self._scalar, entries))
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
         if len(entries) != rows * cols:
@@ -153,11 +165,11 @@ class RatMatrix:
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "RatMatrix":
-        """Matrix over a tuple of rows*cols Fractions built by this module;
+    def _trusted(cls, rows: int, cols: int, entries: tuple):
+        """Matrix over a tuple of rows*cols scalars built by this module;
         skips the coercion and checks of the public constructor."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "rows", rows)
@@ -166,7 +178,7 @@ class RatMatrix:
         return matrix
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
+    def from_rows(cls, rows: Sequence[Sequence]):
         r = len(rows)
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
@@ -174,19 +186,11 @@ class RatMatrix:
         return cls(r, c, [x for row in rows for x in row])
 
     @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+    def identity(cls, n: int):
+        one, zero = cls._scalar(1), cls._scalar(0)
+        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
-    @classmethod
-    def column(cls, values: Sequence) -> "RatMatrix":
-        values = list(values)
-        return cls(len(values), 1, values)
-
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
@@ -202,6 +206,51 @@ class RatMatrix:
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
+    def transpose(self):
+        return self._trusted(
+            self.cols,
+            self.rows,
+            tuple(x for j in range(self.cols) for x in self.entries[j :: self.cols]),
+        )
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.shape == other.shape
+            and self.entries == other.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        rows = "; ".join(
+            " ".join(map(self._format, self.row(i))) for i in range(self.rows)
+        )
+        return f"{type(self).__name__}({self.rows}x{self.cols}: [{rows}])"
+
+
+class RatMatrix(_Matrix):
+    """Immutable rational matrix.  0xk and kx0 shapes are legal."""
+
+    __slots__ = ()
+    _scalar = staticmethod(_as_fraction)
+    _format = staticmethod(format_rational)
+
+    def __init__(self, rows: int, cols: int, entries: Iterable):
+        # its own __init__, not the inherited one: perfbench/tracing.py
+        # wraps RatMatrix.__init__ to count the entries it coerces
+        super().__init__(rows, cols, entries)
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
+        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+
+    @classmethod
+    def column(cls, values: Sequence) -> "RatMatrix":
+        values = list(values)
+        return cls(len(values), 1, values)
+
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -215,13 +264,6 @@ class RatMatrix:
             self.entry(i, j) == (1 if i == j else 0)
             for i in range(self.rows)
             for j in range(self.cols)
-        )
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix._trusted(
-            self.cols,
-            self.rows,
-            tuple(x for j in range(self.cols) for x in self.entries[j :: self.cols]),
         )
 
     def add(self, other: "RatMatrix") -> "RatMatrix":
@@ -253,22 +295,6 @@ class RatMatrix:
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self.sub(other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        rows = "; ".join(
-            " ".join(format_rational(x) for x in self.row(i)) for i in range(self.rows)
-        )
-        return f"RatMatrix({self.rows}x{self.cols}: [{rows}])"
 
     def invert(self) -> "RatMatrix":
         return invert(self)
@@ -438,29 +464,13 @@ def rank(a: RatMatrix) -> int:
     return len(_rref(a)[1])
 
 
-class IntMatrix:
-    """Immutable arbitrary-precision integer matrix."""
+class IntMatrix(_Matrix):
+    """Immutable arbitrary-precision integer matrix; an entry must be an
+    int (``operator.index``), so a float raises TypeError."""
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        entries = tuple(int(x) for x in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, [x for row in rows for x in row])
+    __slots__ = ()
+    _scalar = staticmethod(index)
+    _format = str
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int = None) -> "IntMatrix":
@@ -473,33 +483,6 @@ class IntMatrix:
             raise ValueError("ragged columns")
         return cls(nrows, k, [columns[j][i] for i in range(nrows) for j in range(k)])
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    @property
-    def shape(self) -> tuple:
-        return (self.rows, self.cols)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} . {other.shape}")
@@ -511,20 +494,6 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.mul(other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        rows = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-        return f"IntMatrix({self.rows}x{self.cols}: [{rows}])"
 
     def det(self) -> int:
         """Exact determinant by Bareiss fraction-free elimination."""

@@ -19,6 +19,7 @@ from .exactnum import (
     complete_to_unimodular,
     invert,
     is_primitive,
+    parse_digits,
     parse_int,
     parse_ints,
     rank,
@@ -41,6 +42,7 @@ __all__ = [
     "fan_from_json",
     "cone_key",
     "parse_cone_key",
+    "subsets",
 ]
 
 
@@ -66,6 +68,16 @@ class Ray:
         return is_primitive(self.vector)
 
 
+def subsets(indices) -> list:
+    """Every sub-tuple of indices, by size and then lexicographically."""
+    indices = tuple(indices)
+    return [
+        sub
+        for r in range(len(indices) + 1)
+        for sub in itertools.combinations(indices, r)
+    ]
+
+
 @dataclass(frozen=True, order=True)
 class Cone:
     """A cone of a simplicial fan, as a sorted tuple of 1-based ray indices."""
@@ -85,11 +97,7 @@ class Cone:
         return set(other.ray_indices) <= set(self.ray_indices)
 
     def faces(self) -> list:
-        out = []
-        for r in range(len(self.ray_indices) + 1):
-            for sub in itertools.combinations(self.ray_indices, r):
-                out.append(Cone(sub))
-        return out
+        return [Cone(sub) for sub in subsets(self.ray_indices)]
 
 
 ZERO_CONE = Cone(())
@@ -313,10 +321,9 @@ def cone_key(cone: Cone) -> str:
 
 
 def parse_cone_key(key: str) -> Cone:
-    key = key.strip()
     if not key:
         return ZERO_CONE
-    return Cone(tuple(int(part) for part in key.split(",")))
+    return Cone(tuple(parse_digits(part, f"index in cone key {key!r}") for part in key.split(",")))
 
 
 def fan_to_json(fan: Fan, overrides: Optional[Dict[Cone, IntMatrix]] = None) -> dict:

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from .exactnum import parse_ints
-from .geometry import Cone, Fan, chart_bases, loop_reference
+from .exactnum import parse_digits, parse_ints
+from .geometry import Cone, Fan, chart_bases, loop_reference, subsets
 
 Vertex = Tuple[int, ...]
 Edge = Tuple[Vertex, Vertex]
@@ -110,16 +110,6 @@ class Quiver:
         return sum(len(labels) for labels in self.loops.values())
 
 
-def subsets(indices) -> list:
-    """Every sub-tuple of indices, by size and then lexicographically."""
-    indices = tuple(indices)
-    return [
-        sub
-        for r in range(len(indices) + 1)
-        for sub in itertools.combinations(indices, r)
-    ]
-
-
 def cube_quiver(indices, loop_labels=()) -> Quiver:
     """The hypercube on an index set: one vertex per subset, a u/v pair
     on each edge adding one index, and the same loop labels at every
@@ -187,10 +177,9 @@ def vertex_key(v: Vertex) -> str:
 
 
 def parse_vertex_key(key: str) -> Vertex:
-    key = key.strip()
     if not key:
         return ()
-    return _vertex(int(part) for part in key.split(","))
+    return _vertex(parse_digits(part, f"index in vertex key {key!r}") for part in key.split(","))
 
 
 def quiver_to_json(q: Quiver) -> dict:

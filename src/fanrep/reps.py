@@ -20,6 +20,7 @@ from .exactnum import (
     NotInvertibleError,
     RatMatrix,
     mat_mul,
+    parse_digits,
     parse_int,
     solve_nullspace,
 )
@@ -91,6 +92,19 @@ def parse_edge_key(key: str):
     return (parse_vertex_key(low), parse_vertex_key(high))
 
 
+def _pop_map(maps: dict, kind: str, key, rows: int, cols: int) -> RatMatrix:
+    """Remove and return maps[key], the kind ("u", "v" or "loop") map at key,
+    or its default when that is absent or None (zero for u and v, the
+    identity for a loop); ShapeError unless it is rows x cols."""
+    mat = maps.pop(key, None)
+    if mat is None:
+        mat = RatMatrix.identity(rows) if kind == "loop" else RatMatrix.zeros(rows, cols)
+    if mat.shape != (rows, cols):
+        where = f"{vertex_key(key[0])}:{key[1]}" if kind == "loop" else edge_key(key)
+        raise ShapeError(f"{kind}[{where}] must be {rows}x{cols}, got {mat.rows}x{mat.cols}")
+    return mat
+
+
 class Representation:
     """Immutable representation of a quiver over Q."""
 
@@ -109,41 +123,18 @@ class Representation:
         u_maps = {}
         v_maps = {}
         for edge in quiver.arrow_pairs:
-            low, high = edge
-            nl, nh = dims[low], dims[high]
-            umat = u.pop(edge, None)
-            if umat is None:
-                umat = RatMatrix.zeros(nh, nl)
-            if umat.shape != (nh, nl):
-                raise ShapeError(
-                    f"u[{edge_key(edge)}] must be {nh}x{nl}, got {umat.rows}x{umat.cols}"
-                )
-            vmat = v.pop(edge, None)
-            if vmat is None:
-                vmat = RatMatrix.zeros(nl, nh)
-            if vmat.shape != (nl, nh):
-                raise ShapeError(
-                    f"v[{edge_key(edge)}] must be {nl}x{nh}, got {vmat.rows}x{vmat.cols}"
-                )
-            u_maps[edge] = umat
-            v_maps[edge] = vmat
+            nl, nh = dims[edge[0]], dims[edge[1]]
+            u_maps[edge] = _pop_map(u, "u", edge, nh, nl)
+            v_maps[edge] = _pop_map(v, "v", edge, nl, nh)
         if u:
             raise ShapeError(f"u maps on unknown edges {sorted(edge_key(e) for e in u)}")
         if v:
             raise ShapeError(f"v maps on unknown edges {sorted(edge_key(e) for e in v)}")
         loop_maps = {}
         for vtx in quiver.vertices:
+            n = dims[vtx]
             for label in quiver.loops[vtx]:
-                n = dims[vtx]
-                mat = loops.pop((vtx, label), None)
-                if mat is None:
-                    mat = RatMatrix.identity(n)
-                if mat.shape != (n, n):
-                    raise ShapeError(
-                        f"loop[{vertex_key(vtx)}:{label}] must be {n}x{n}, "
-                        f"got {mat.rows}x{mat.cols}"
-                    )
-                loop_maps[(vtx, label)] = mat
+                loop_maps[(vtx, label)] = _pop_map(loops, "loop", (vtx, label), n, n)
         if loops:
             raise ShapeError(f"loop maps on unknown loops {sorted(map(str, loops))}")
         object.__setattr__(self, "quiver", quiver)
@@ -350,9 +341,12 @@ def exponent_product(
 class DirectionResolver:
     """Resolves the monodromy operator of a lattice direction at a vertex.
 
-    Order of resolution: the arrow monodromy when vertex + label is a
-    cone, then the loop map with that label, then the expansion of the
-    direction vector in the vertex's reference chart.
+    A direction is named by its label: a ray index, whose vector is the
+    ray, or a chart's completion label, whose vector is that chart's
+    basis column (labels are unique across charts).  Order of resolution:
+    the arrow monodromy when vertex + label is a cone, then the loop map
+    with that label, then the expansion of the direction vector in the
+    vertex's reference chart.
     """
 
     def __init__(self, rep: Representation, fan: Fan, bases):
@@ -360,39 +354,39 @@ class DirectionResolver:
         self.fan = fan
         self.bases = bases
         self.cone_set = set(fan.cones)
+        self.vectors = {
+            label: basis.column(label) for basis in bases.values() for label in basis.labels
+        }
         self._cache = {}
 
-    def operator(self, vertex: Vertex, label: Optional[int], vector) -> RatMatrix:
-        key = (vertex, label, tuple(vector))
+    def operator(self, vertex: Vertex, label: int) -> RatMatrix:
+        key = (vertex, label)
         cached = self._cache.get(key)
         if cached is None:
-            cached = self._operator(vertex, label, vector)
+            cached = self._operator(vertex, label)
             self._cache[key] = cached
         return cached
 
-    def _operator(self, vertex: Vertex, label: Optional[int], vector) -> RatMatrix:
+    def _operator(self, vertex: Vertex, label: int) -> RatMatrix:
         rep = self.rep
-        if (
-            label is not None
-            and 1 <= label <= len(self.fan.rays)
-            and Cone(tuple(sorted(vertex + (label,)))) in self.cone_set
-            and label not in vertex
-        ):
-            return monodromy(rep, (vertex, tuple(sorted(vertex + (label,)))), "low")
-        if label is not None and label in rep.quiver.loops[vertex]:
+        if label not in vertex:
+            high = tuple(sorted(vertex + (label,)))
+            if Cone(high) in self.cone_set:
+                return monodromy(rep, (vertex, high), "low")
+        if label in rep.quiver.loops[vertex]:
             return rep.loop_maps[(vertex, label)]
-        return self._derived(vertex, vector)
+        return self.expansion(vertex, loop_reference(self.fan, Cone(vertex)), label)
 
-    def _derived(self, vertex: Vertex, vector) -> RatMatrix:
-        ref = loop_reference(self.fan, Cone(vertex))
-        return exponent_product(self.rep, self.bases[ref], vertex, vector, chart_operator)
-
-    def _basis_operator(self, rep, basis: ChartBasis, vertex: Vertex, label: int) -> RatMatrix:
-        return self.operator(vertex, label, basis.column(label))
-
-    def expansion(self, vertex: Vertex, chart: Cone, vector) -> RatMatrix:
-        """Product of chart-side operators with the exponents of vector."""
-        return exponent_product(self.rep, self.bases[chart], vertex, vector, self._basis_operator)
+    def expansion(self, vertex: Vertex, chart: Cone, label: int) -> RatMatrix:
+        """Product of the operators of chart's basis directions at vertex,
+        raised to the exponents of label's vector in that chart."""
+        return exponent_product(
+            self.rep,
+            self.bases[chart],
+            vertex,
+            self.vectors[label],
+            lambda rep, basis, vtx, lbl: self.operator(vtx, lbl),
+        )
 
 
 def validate_CDelta(
@@ -424,10 +418,9 @@ def validate_CDelta(
             if not set(high) <= set(chart.ray_indices):
                 continue
             for label in bases[chart].completion_labels:
-                vector = bases[chart].column(label)
                 try:
-                    op_low = resolver.operator(low, label, vector)
-                    op_high = resolver.operator(high, label, vector)
+                    op_low = resolver.operator(low, label)
+                    op_high = resolver.operator(high, label)
                 except NotInvertibleError:
                     continue
                 out += transport_violations(
@@ -439,10 +432,9 @@ def validate_CDelta(
             for p in bases[kp].labels:
                 if p in overlap:
                     continue
-                vector = bases[kp].column(p)
                 try:
-                    lhs = resolver.operator(j, p, vector)
-                    rhs = resolver.expansion(j, k, vector)
+                    lhs = resolver.operator(j, p)
+                    rhs = resolver.expansion(j, k, p)
                 except NotInvertibleError:
                     continue  # already reported by condition (i) or the loop checks
                 if lhs != rhs:
@@ -490,17 +482,6 @@ def identity_morphism(rep: Representation) -> Morphism:
     )
 
 
-def _kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            for j in range(a.cols):
-                av = a.entry(i, j)
-                for l in range(b.cols):
-                    out.append(av * b.entry(k, l))
-    return RatMatrix(a.rows * b.rows, a.cols * b.cols, out)
-
-
 def _arrow_maps(a: Representation, b: Representation):
     """(source, target, map in a, map in b) for every u, v and loop arrow;
     a morphism phi must satisfy phi_target.x_a = x_b.phi_source on each."""
@@ -515,7 +496,12 @@ def _arrow_maps(a: Representation, b: Representation):
 
 
 def _hom_system(a: Representation, b: Representation):
-    """Rows of the homogeneous system whose kernel is Hom(a, b)."""
+    """Rows of the homogeneous system whose kernel is Hom(a, b).
+
+    phi_v is stored row-major from offsets[v].  Each arrow gives one row
+    per entry (i, j) of phi_tgt.x_a - x_b.phi_src: x_a[k][j] multiplies
+    phi_tgt[i][k] and -x_b[i][k] multiplies phi_src[k][j].
+    """
     offsets = {}
     total = 0
     for vtx in a.quiver.vertices:
@@ -524,23 +510,18 @@ def _hom_system(a: Representation, b: Representation):
 
     rows: List[List[Fraction]] = []
     for src, tgt, x_a, x_b in _arrow_maps(a, b):
-        # the Sylvester block of phi_tgt.x_a - x_b.phi_src on vec(phi)
-        n_rows = b.dims[tgt] * a.dims[src]
-        if not n_rows:
-            continue
-        block = [[Fraction(0)] * total for _ in range(n_rows)]
-        for vtx, coeff, sign in (
-            (tgt, _kron(RatMatrix.identity(b.dims[tgt]), x_a.transpose()), 1),
-            (src, _kron(x_b, RatMatrix.identity(a.dims[src])), -1),
-        ):
-            off = offsets[vtx]
-            for r in range(coeff.rows):
-                row = block[r]
-                for c in range(coeff.cols):
-                    val = coeff.entry(r, c)
-                    if val:
-                        row[off + c] += val if sign > 0 else -val
-        rows.extend(block)
+        n_src, n_tgt = a.dims[src], a.dims[tgt]
+        off_src = offsets[src]
+        x_a_cols = [x_a.col(j) for j in range(n_src)]
+        for i in range(b.dims[tgt]):
+            start = offsets[tgt] + i * n_tgt
+            x_b_row = x_b.row(i)
+            for j in range(n_src):
+                row = [Fraction(0)] * total
+                row[start : start + n_tgt] = x_a_cols[j]
+                for k, x in enumerate(x_b_row):
+                    row[off_src + k * n_src + j] -= x
+                rows.append(row)
     if rows:
         system = RatMatrix.from_rows(rows)
     else:
@@ -687,6 +668,11 @@ def rep_to_json(rep: Representation, include_quiver: bool = True) -> dict:
     return data
 
 
+def _parse_loop_key(key: str):
+    vkey, _, label = key.rpartition(":")
+    return parse_vertex_key(vkey), parse_digits(label, f"label of loop key {key!r}")
+
+
 def rep_from_json(data: dict, quiver: Optional[Quiver] = None) -> Representation:
     if not isinstance(data, dict):
         raise ValueError("representation JSON must be an object")
@@ -701,26 +687,13 @@ def rep_from_json(data: dict, quiver: Optional[Quiver] = None) -> Representation
         }
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed representation JSON: {exc}")
-    u = {}
-    for key, rows in data.get("u", {}).items():
-        edge = parse_edge_key(key)
-        low, high = edge
-        u[edge] = RatMatrix.from_json(rows) if rows else RatMatrix.zeros(
-            dims.get(high, 0), dims.get(low, 0)
-        )
-    v = {}
-    for key, rows in data.get("v", {}).items():
-        edge = parse_edge_key(key)
-        low, high = edge
-        v[edge] = RatMatrix.from_json(rows) if rows else RatMatrix.zeros(
-            dims.get(low, 0), dims.get(high, 0)
-        )
-    loops = {}
-    for key, rows in data.get("loops", {}).items():
-        vkey, _, label = key.rpartition(":")
-        vtx = parse_vertex_key(vkey)
-        n = dims.get(vtx, 0)
-        loops[(vtx, int(label))] = (
-            RatMatrix.from_json(rows) if rows else RatMatrix.identity(n)
-        )
-    return Representation(quiver, dims, u, v, loops)
+
+    def maps(name, parse_key):
+        # an empty list stands for the default map, which Representation fills in
+        return {
+            parse_key(key): RatMatrix.from_json(rows) if rows else None
+            for key, rows in data.get(name, {}).items()
+        }
+
+    u, v = maps("u", parse_edge_key), maps("v", parse_edge_key)
+    return Representation(quiver, dims, u, v, maps("loops", _parse_loop_key))

@@ -5,11 +5,17 @@ moved to fraction-free integer elimination.  Every product, inverse,
 determinant and reduced row echelon form is unique, so the integer
 kernels must return exactly the same Fractions and raise
 ``NotInvertibleError`` on exactly the same inputs.
+
+``_hom_system`` is the Kronecker-product assembly of the Hom system that
+``fanrep.reps`` used before it wrote each row directly; the direct
+assembly must return the same matrix, entry for entry.
 """
 
 from fractions import Fraction
+from typing import List
 
 from fanrep.exactnum import NotInvertibleError, RatMatrix
+from fanrep.reps import Representation, _arrow_maps
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -132,3 +138,48 @@ def is_invertible(self: RatMatrix) -> bool:
     except NotInvertibleError:
         return False
     return True
+
+
+def _kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    out = []
+    for i in range(a.rows):
+        for k in range(b.rows):
+            for j in range(a.cols):
+                av = a.entry(i, j)
+                for l in range(b.cols):
+                    out.append(av * b.entry(k, l))
+    return RatMatrix(a.rows * b.rows, a.cols * b.cols, out)
+
+
+def _hom_system(a: Representation, b: Representation):
+    """Rows of the homogeneous system whose kernel is Hom(a, b)."""
+    offsets = {}
+    total = 0
+    for vtx in a.quiver.vertices:
+        offsets[vtx] = total
+        total += b.dims[vtx] * a.dims[vtx]
+
+    rows: List[List[Fraction]] = []
+    for src, tgt, x_a, x_b in _arrow_maps(a, b):
+        # the Sylvester block of phi_tgt.x_a - x_b.phi_src on vec(phi)
+        n_rows = b.dims[tgt] * a.dims[src]
+        if not n_rows:
+            continue
+        block = [[Fraction(0)] * total for _ in range(n_rows)]
+        for vtx, coeff, sign in (
+            (tgt, _kron(RatMatrix.identity(b.dims[tgt]), x_a.transpose()), 1),
+            (src, _kron(x_b, RatMatrix.identity(a.dims[src])), -1),
+        ):
+            off = offsets[vtx]
+            for r in range(coeff.rows):
+                row = block[r]
+                for c in range(coeff.cols):
+                    val = coeff.entry(r, c)
+                    if val:
+                        row[off + c] += val if sign > 0 else -val
+        rows.extend(block)
+    if rows:
+        system = RatMatrix.from_rows(rows)
+    else:
+        system = RatMatrix.zeros(0, total)
+    return system, offsets, total

@@ -172,6 +172,39 @@ def test_non_integer_json_is_a_parse_error(tmp_path, capsys, name, path, value, 
     assert f"{where} must be a JSON integer, got {value!r}" in payload["detail"]
 
 
+STRING_KEYS = [
+    # (fixture, object holding the key, key, key written otherwise, command):
+    # int() reads each changed key as the original one
+    ("rep_cn_ok.json", "dims", "1,2", "1, 2", ("rep", "validate")),
+    ("fan_cxcstar_override.json", "bases", "1", "+1", ("fan", "dual")),
+    ("rep_loop2.json", "loops", ":1", ":\u0661", ("rep", "hom")),
+]
+
+
+@pytest.mark.parametrize(
+    "name,section,key,bad,command", STRING_KEYS, ids=[case[1] for case in STRING_KEYS]
+)
+def test_key_index_must_be_ascii_digits(tmp_path, capsys, name, section, key, bad, command):
+    data = json.loads((FIXTURES / name).read_text())
+    data[section][bad] = data[section].pop(key)
+    target = tmp_path / name
+    target.write_text(json.dumps(data))
+    argv = [*command, str(target)]
+    if command == ("rep", "validate"):
+        argv += ["--category", "cn"]
+    elif command == ("rep", "hom"):
+        argv.append(str(target))
+    code, payload = invoke(capsys, *argv)
+    assert (code, payload["error"]) == (2, "parse")
+    assert f"key {bad!r}" in payload["detail"]
+
+
+def test_quiver_build_size_must_be_ascii_digits(capsys):
+    code, payload = invoke(capsys, "quiver", "build", "+2", "--family", "hypercube")
+    assert (code, payload["error"]) == (2, "parse")
+    assert "'+2'" in payload["detail"]
+
+
 def canonical(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 

@@ -186,6 +186,12 @@ class TestGlue:
         with pytest.raises(DescentError):
             glue(p1_datum(2, 2))
 
+    def test_invalid_datum_error_carries_every_violation(self):
+        d = p1_datum(2, 2)
+        with pytest.raises(DescentError) as info:
+            glue(d)
+        assert info.value.violations == validate_descent(d) != []
+
     def test_nontrivial_delta_conjugates_arrows(self):
         d = p1_datum(2, Fraction(1, 2), delta=3)
         glued = glue(d)

@@ -41,6 +41,23 @@ class TestRationalStrings:
             RatMatrix(1, 1, [0.5])
 
 
+class TestIntMatrix:
+    def test_non_integers_rejected(self):
+        for value in (1.9, 2.0, Fraction(1, 2), "1"):
+            with pytest.raises(TypeError):
+                IntMatrix(1, 1, [value])
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            IntMatrix(-1, 0, [])
+
+    def test_never_equal_to_a_rational_matrix(self):
+        a = IntMatrix.identity(2)
+        assert a.to_rational() == RatMatrix.identity(2)
+        assert a != RatMatrix.identity(2) and RatMatrix.identity(2) != a
+        assert repr(a) == "IntMatrix(2x2: [1 0; 0 1])"
+
+
 class TestMatMul:
     def test_identity(self):
         x = rat([[1, 2], [3, 4]])

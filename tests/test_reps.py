@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_kernels as ref
 from fanrep.exactnum import RatMatrix, mat_mul
 from fanrep.geometry import Cone, Fan, chart_bases
-from fanrep.quivers import Quiver, arrangement_quiver, fan_quiver, hypercube_quiver
+from fanrep.quivers import Quiver, arrangement_quiver, cube_quiver, fan_quiver, hypercube_quiver
 from fanrep.reps import (
+    _hom_system,
     Morphism,
     Representation,
     ShapeError,
@@ -560,6 +562,46 @@ def test_monodromy_low_high_invertibility_match(data):
     low = monodromy(rep, ((), (1,)), "low")
     high = monodromy(rep, ((), (1,)), "high")
     assert low.is_invertible() == high.is_invertible()
+
+
+def drawn_rep(data, quiver):
+    """A representation with dims 0-2 and arbitrary small rational maps; the
+    Hom system does not ask the category conditions to hold."""
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def matrix(rows, cols):
+        n = rows * cols
+        return RatMatrix(rows, cols, data.draw(st.lists(entries, min_size=n, max_size=n)))
+
+    dims = {vtx: data.draw(st.integers(min_value=0, max_value=2)) for vtx in quiver.vertices}
+    u = {(low, high): matrix(dims[high], dims[low]) for low, high in quiver.arrow_pairs}
+    v = {(low, high): matrix(dims[low], dims[high]) for low, high in quiver.arrow_pairs}
+    loops = {
+        (vtx, label): matrix(dims[vtx], dims[vtx])
+        for vtx in quiver.vertices
+        for label in quiver.loops[vtx]
+    }
+    return Representation(quiver, dims, u, v, loops)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_hom_system_matches_kronecker_reference(data):
+    family = data.draw(st.sampled_from(["hypercube", "arrangement", "chart"]))
+    if family == "hypercube":
+        quiver = hypercube_quiver(data.draw(st.integers(min_value=0, max_value=3)))
+    elif family == "arrangement":
+        quiver = arrangement_quiver(data.draw(st.integers(min_value=1, max_value=4)))
+    else:
+        k = data.draw(st.integers(min_value=0, max_value=2))
+        n_loops = data.draw(st.integers(min_value=1, max_value=2))
+        quiver = cube_quiver(range(1, k + 1), tuple(range(k + 1, k + 1 + n_loops)))
+    a = drawn_rep(data, quiver)
+    b = drawn_rep(data, quiver)
+    system, offsets, total = _hom_system(a, b)
+    want, want_offsets, want_total = ref._hom_system(a, b)
+    assert (system.shape, system.entries) == (want.shape, want.entries)
+    assert (offsets, total) == (want_offsets, want_total)
 
 
 def test_rep_json_roundtrip():
