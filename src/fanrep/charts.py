@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import mul
 from typing import Dict, Iterable, Sequence
 
-from .exactnum import IntMatrix, RatMatrix, invert, mat_mul
+from .exactnum import IntMatrix, unimodular_inverse
 from .geometry import ChartBasis, Cone, Fan, maximal_cones
 
 __all__ = [
@@ -60,41 +60,16 @@ class MonomialMap:
         return self.exponents == IntMatrix.identity(self.dim)
 
     def inverse(self) -> "MonomialMap":
-        inv = invert(self.exponents.to_rational())
-        return MonomialMap(
-            IntMatrix(self.dim, self.dim, [x.numerator for x in inv.entries])
-        )
-
-
-def _integral_columns(mat) -> IntMatrix:
-    for x in mat.entries:
-        if x.denominator != 1:
-            raise ValueError("change of basis is not integral; bases are not unimodular")
-    return IntMatrix(mat.rows, mat.cols, [x.numerator for x in mat.entries])
-
-
-@lru_cache(maxsize=256)
-def _cached_inverse(matrix: IntMatrix):
-    return invert(matrix.to_rational())
+        return MonomialMap(unimodular_inverse(self.exponents))
 
 
 def basis_coordinates(basis: ChartBasis, vector: Sequence[int]) -> Dict[int, int]:
     """Exact coordinates of an integer vector in a chart basis, by label."""
-    inv = _cached_inverse(basis.basis)
-    coords = mat_mul(inv, _column(vector, basis.basis.rows))
-    out = {}
-    for label, value in zip(basis.labels, coords.entries):
-        if value.denominator != 1:
-            raise ValueError(f"{vector} has non-integer coordinates in the chart basis")
-        out[label] = value.numerator
-    return out
-
-
-def _column(vector: Sequence[int], n: int):
     vector = list(vector)
-    if len(vector) != n:
-        raise ValueError(f"vector {vector} is not {n}-dimensional")
-    return RatMatrix.column(vector)
+    inv = unimodular_inverse(basis.basis)
+    if len(vector) != inv.cols:
+        raise ValueError(f"vector {vector} is not {inv.cols}-dimensional")
+    return {label: sum(map(mul, inv.row(i), vector)) for i, label in enumerate(basis.labels)}
 
 
 def gluing_map(basis_k: ChartBasis, basis_kp: ChartBasis) -> MonomialMap:
@@ -108,8 +83,7 @@ def gluing_map(basis_k: ChartBasis, basis_kp: ChartBasis) -> MonomialMap:
     b_kp = basis_kp.basis
     if b_k.shape != b_kp.shape:
         raise ValueError("charts live in different ambient dimensions")
-    a = mat_mul(invert(b_kp.to_rational()), b_k.to_rational())
-    return MonomialMap(_integral_columns(a))
+    return MonomialMap(unimodular_inverse(b_kp).mul(b_k))
 
 
 def compose(m1: MonomialMap, m2: MonomialMap) -> MonomialMap:

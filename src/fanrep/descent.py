@@ -38,7 +38,9 @@ from .reps import (
     check_invertibility,
     check_loops,
     check_squares,
+    edge_key,
     exponent_product,
+    overlap_directions,
     rep_from_json,
     rep_to_json,
     validate_CDelta,
@@ -50,6 +52,7 @@ __all__ = [
     "DescentError",
     "DescentMorphism",
     "chart_quiver",
+    "overlaps",
     "validate_descent",
     "glue",
     "section",
@@ -72,6 +75,14 @@ def chart_quiver(fan: Fan, bases: Dict[Cone, ChartBasis], cone: Cone) -> Quiver:
     """Quiver of one affine chart: the hypercube on the cone's ray set,
     with the chart's completion labels as loops at every vertex."""
     return cube_quiver(cone.ray_indices, bases[cone].completion_labels)
+
+
+def overlaps(tops):
+    """The delta keys (K, K', J): each pair K < K' of the maximal cones
+    tops (in lexicographic order) and each vertex J of their overlap."""
+    for a, b in itertools.combinations(tops, 2):
+        for j in subsets(sorted(set(a.ray_indices) & set(b.ray_indices))):
+            yield a, b, j
 
 
 class DescentDatum:
@@ -116,15 +127,15 @@ class DescentDatum:
                 raise DescentError("deltas must join two distinct charts")
             if k not in charts or kp not in charts or not set(j) <= set(k.ray_indices) & set(kp.ray_indices):
                 raise DescentError(
-                    f"delta {cone_key(k)}|{cone_key(kp)}|{vertex_key(j)} does not lie "
-                    "on the overlap of two maximal cones"
+                    f"delta {_delta_key(k, kp, j)} does not lie on the overlap of two "
+                    "maximal cones"
                 )
             forward = k.ray_indices < kp.ray_indices
             key = (k, kp, j) if forward else (kp, k, j)
             if forward:
                 mat_fwd = mat
             else:
-                mat_fwd = _exact_inverse(mat, key)
+                mat_fwd = _exact_inverse(mat, k, kp, j)
                 inverses[key] = mat
             if key in stored and stored[key] != mat_fwd:
                 raise DescentError(
@@ -132,28 +143,19 @@ class DescentDatum:
                     "disagree with the inverse-pair invariant"
                 )
             stored[key] = mat_fwd
-        for a, b in itertools.combinations(tops, 2):
-            overlap = tuple(sorted(set(a.ray_indices) & set(b.ray_indices)))
-            for j in subsets(overlap):
-                key = (a, b, j)
-                if key not in stored:
-                    raise DescentError(
-                        f"missing delta for {cone_key(a)}|{cone_key(b)}|{vertex_key(j)}"
-                    )
-                mat = stored[key]
-                want = (self.charts[b].dims[j], self.charts[a].dims[j])
-                if mat.shape != want:
-                    raise DescentError(
-                        f"delta {cone_key(a)}|{cone_key(b)}|{vertex_key(j)} must be "
-                        f"{want[0]}x{want[1]}, got {mat.rows}x{mat.cols}"
-                    )
-                if key not in inverses:
-                    try:
-                        inverses[key] = invert(mat)
-                    except NotInvertibleError:
-                        raise DescentError(
-                            f"delta {cone_key(a)}|{cone_key(b)}|{vertex_key(j)} is singular"
-                        )
+        for key in overlaps(tops):
+            a, b, j = key
+            if key not in stored:
+                raise DescentError(f"missing delta for {_delta_key(*key)}")
+            mat = stored[key]
+            want = (self.charts[b].dims[j], self.charts[a].dims[j])
+            if mat.shape != want:
+                raise DescentError(
+                    f"delta {_delta_key(*key)} must be {want[0]}x{want[1]}, "
+                    f"got {mat.rows}x{mat.cols}"
+                )
+            if key not in inverses:
+                inverses[key] = _exact_inverse(mat, *key)
         object.__setattr__(self, "_deltas", stored)
         object.__setattr__(self, "_inverses", inverses)
 
@@ -180,11 +182,18 @@ class DescentDatum:
         )
 
 
-def _exact_inverse(mat: RatMatrix, key) -> RatMatrix:
+def _delta_key(k: Cone, kp: Cone, j: Vertex) -> str:
+    """The key K|K'|J of a delta in descent JSON."""
+    return f"{cone_key(k)}|{cone_key(kp)}|{vertex_key(j)}"
+
+
+def _exact_inverse(mat: RatMatrix, k: Cone, kp: Cone, j: Vertex) -> RatMatrix:
+    """Inverse of the delta given for (K, K', J); a singular one is named
+    by its key as written."""
     try:
         return invert(mat)
     except NotInvertibleError:
-        raise DescentError(f"delta for {key} is singular")
+        raise DescentError(f"delta for {_delta_key(k, kp, j)} is singular")
 
 
 def validate_descent(d: DescentDatum) -> List[Violation]:
@@ -205,58 +214,47 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
                 )
             )
 
-    for a, b in itertools.combinations(tops, 2):
-        overlap = tuple(sorted(set(a.ray_indices) & set(b.ray_indices)))
+    for a, b, top in overlaps(tops):
+        if set(top) != set(a.ray_indices) & set(b.ray_indices):
+            continue  # one pass per pair, over the edges of its whole overlap
         ca, cb = d.charts[a], d.charts[b]
-        for j in subsets(overlap):
-            for p in overlap:
-                if p in j:
-                    continue
-                jp = tuple(sorted(j + (p,)))
-                edge = (j, jp)
-                dj = d.delta(a, b, j)
-                lhs_u = mat_mul(mat_mul(d.delta(b, a, jp), cb.u[edge]), dj)
-                if lhs_u != ca.u[edge]:
-                    out.append(
-                        Violation(
-                            "conjugation",
-                            (cone_key(a), cone_key(b), f"{vertex_key(j)}-{vertex_key(jp)}", "u"),
-                            "delta does not conjugate the shared u map",
-                        )
-                    )
+        for edge in cube_quiver(top).arrow_pairs:
+            j, jp = edge
+            dj = d.delta(a, b, j)
+            checks = (
+                ("u", mat_mul(mat_mul(d.delta(b, a, jp), cb.u[edge]), dj), ca.u[edge]),
                 # dj^-1 . v_b . djp == v_a, multiplied through by dj
-                if mat_mul(cb.v[edge], d.delta(a, b, jp)) != mat_mul(dj, ca.v[edge]):
-                    out.append(
-                        Violation(
-                            "conjugation",
-                            (cone_key(a), cone_key(b), f"{vertex_key(j)}-{vertex_key(jp)}", "v"),
-                            "delta does not conjugate the shared v map",
-                        )
-                    )
+                ("v", mat_mul(cb.v[edge], d.delta(a, b, jp)), mat_mul(dj, ca.v[edge])),
+            )
+            out += [
+                Violation(
+                    "conjugation",
+                    (cone_key(a), cone_key(b), edge_key(edge), arrow),
+                    f"delta does not conjugate the shared {arrow} map",
+                )
+                for arrow, lhs, rhs in checks
+                if lhs != rhs
+            ]
 
-    for a, b in itertools.permutations(tops, 2):
-        overlap = set(a.ray_indices) & set(b.ray_indices)
+    for a, b, j, labels in overlap_directions(d.bases):
         ca, cb = d.charts[a], d.charts[b]
         basis_a, basis_b = d.bases[a], d.bases[b]
-        for j in subsets(sorted(overlap)):
-            dj = d.delta(a, b, j)
-            for p in basis_b.labels:
-                if p in overlap:
-                    continue
-                # dj^-1 . op_b . dj == the exponent product, multiplied through by dj
-                try:
-                    lhs = mat_mul(chart_operator(cb, basis_b, j, p), dj)
-                    rhs = mat_mul(dj, exponent_product(ca, basis_a, j, basis_b.column(p), chart_operator))
-                except NotInvertibleError:
-                    continue  # the chart validity section already reports this
-                if lhs != rhs:
-                    out.append(
-                        Violation(
-                            "transport",
-                            (cone_key(a), cone_key(b), vertex_key(j), p),
-                            "conjugated monodromy does not match the exponent product",
-                        )
+        dj = d.delta(a, b, j)
+        for p in labels:
+            # dj^-1 . op_b . dj == the exponent product, multiplied through by dj
+            try:
+                lhs = mat_mul(chart_operator(cb, basis_b, j, p), dj)
+                rhs = mat_mul(dj, exponent_product(ca, basis_a, j, basis_b.column(p), chart_operator))
+            except NotInvertibleError:
+                continue  # the chart validity section already reports this
+            if lhs != rhs:
+                out.append(
+                    Violation(
+                        "transport",
+                        (cone_key(a), cone_key(b), vertex_key(j), p),
+                        "conjugated monodromy does not match the exponent product",
                     )
+                )
 
     for a, b, c in itertools.permutations(tops, 3):
         overlap = set(a.ray_indices) & set(b.ray_indices) & set(c.ray_indices)
@@ -310,9 +308,8 @@ def glue(d: DescentDatum) -> Representation:
         a = owners[low]
         b = owners[high]
         chart = d.charts[b]
-        delta = d.delta(a, b, low)
-        u[edge] = mat_mul(chart.u[edge], delta)
-        v[edge] = mat_mul(invert(delta), chart.v[edge])
+        u[edge] = mat_mul(chart.u[edge], d.delta(a, b, low))
+        v[edge] = mat_mul(d.delta(b, a, low), chart.v[edge])
     loops = {}
     for vtx in quiver.vertices:
         owner = owners[vtx]
@@ -351,11 +348,7 @@ def section(rep: Representation, fan: Fan, bases=None, basis_overrides=None) -> 
             for label in quiver.loops[vtx]:
                 loops[(vtx, label)] = resolver.operator(vtx, label)
         charts[cone] = Representation(quiver, dims, u, v, loops)
-    deltas = {}
-    for a, b in itertools.combinations(tops, 2):
-        overlap = tuple(sorted(set(a.ray_indices) & set(b.ray_indices)))
-        for j in subsets(overlap):
-            deltas[(a, b, j)] = RatMatrix.identity(rep.dims[j])
+    deltas = {key: RatMatrix.identity(rep.dims[key[2]]) for key in overlaps(tops)}
     return DescentDatum(fan, charts, deltas, bases=bases, basis_overrides=basis_overrides)
 
 
@@ -374,14 +367,11 @@ class DescentMorphism:
             mor = self.charts.get(cone)
             if mor is None or not mor.is_valid():
                 return False
-        for a, b in itertools.combinations(tops, 2):
-            overlap = tuple(sorted(set(a.ray_indices) & set(b.ray_indices)))
-            for j in subsets(overlap):
-                lhs = mat_mul(self.charts[b].maps[j], self.source.delta(a, b, j))
-                rhs = mat_mul(self.target.delta(a, b, j), self.charts[a].maps[j])
-                if lhs != rhs:
-                    return False
-        return True
+        return all(
+            mat_mul(self.charts[b].maps[j], self.source.delta(a, b, j))
+            == mat_mul(self.target.delta(a, b, j), self.charts[a].maps[j])
+            for a, b, j in overlaps(tops)
+        )
 
 
 def glue_morphism(m: DescentMorphism) -> Morphism:
@@ -405,11 +395,8 @@ def descent_to_json(d: DescentDatum) -> dict:
             for cone, chart in sorted(d.charts.items(), key=lambda kv: kv[0].ray_indices)
         },
         "deltas": {
-            f"{cone_key(a)}|{cone_key(b)}|{vertex_key(j)}": mat.to_json()
-            for (a, b, j), mat in sorted(
-                d.stored_deltas().items(),
-                key=lambda kv: (kv[0][0].ray_indices, kv[0][1].ray_indices, kv[0][2]),
-            )
+            _delta_key(*key): mat.to_json()
+            for key, mat in sorted(d.stored_deltas().items(), key=lambda kv: kv[0])
         },
     }
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -37,6 +38,7 @@ __all__ = [
     "solve_nullspace",
     "smith_normal_form",
     "hermite_row_transform",
+    "unimodular_inverse",
     "complete_to_unimodular",
 ]
 
@@ -661,6 +663,22 @@ def hermite_row_transform(a: IntMatrix) -> tuple:
         IntMatrix.from_rows(m),
         pivots,
     )
+
+
+@lru_cache(maxsize=256)
+def unimodular_inverse(m: IntMatrix) -> IntMatrix:
+    """Inverse over Z of a square integer matrix with |det| = 1.
+
+    The row Hermite form of such a matrix is the identity, so the
+    transform U with U.m = H is the inverse.  Raises ValueError when m is
+    not square or |det| != 1.  Results are cached; matrices are immutable.
+    """
+    if m.rows != m.cols:
+        raise ValueError(f"matrix is {m.rows}x{m.cols}, not square")
+    u, _, h, _ = hermite_row_transform(m)
+    if h != IntMatrix.identity(m.rows):
+        raise ValueError("matrix is not unimodular (|det| != 1)")
+    return u
 
 
 def complete_to_unimodular(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:

@@ -17,12 +17,12 @@ from .exactnum import (
     NotCompletableError,
     RatMatrix,
     complete_to_unimodular,
-    invert,
     is_primitive,
     parse_digits,
     parse_int,
     parse_ints,
     rank,
+    unimodular_inverse,
 )
 
 __all__ = [
@@ -230,8 +230,7 @@ def dual_cone_smooth(m: IntMatrix) -> IntMatrix:
         raise ValueError("generator matrix must be square")
     if abs(m.det()) != 1:
         raise ValueError("generator matrix is not unimodular; cone is not smooth")
-    inv = invert(m.transpose().to_rational())
-    return IntMatrix(m.rows, m.cols, [x.numerator for x in inv.entries])
+    return unimodular_inverse(m.transpose())
 
 
 @lru_cache(maxsize=64)

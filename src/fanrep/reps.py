@@ -48,6 +48,7 @@ __all__ = [
     "validate_Cn",
     "validate_CSigma",
     "validate_CDelta",
+    "overlap_directions",
     "hom_basis",
     "are_isomorphic",
     "direct_sum",
@@ -111,10 +112,8 @@ class Representation:
     __slots__ = ("quiver", "dims", "u", "v", "loop_maps")
 
     def __init__(self, quiver: Quiver, dims: Dict[Vertex, int], u=None, v=None, loops=None):
-        dims = {vtx: int(dims.get(vtx, 0)) for vtx in quiver.vertices}
         unknown = set(dims) - set(quiver.vertices)
-        if unknown:
-            raise ShapeError(f"dims given for unknown vertices {sorted(unknown)}")
+        dims = {vtx: int(dims.get(vtx, 0)) for vtx in quiver.vertices}
         if any(d < 0 for d in dims.values()):
             raise ShapeError("negative dimension")
         u = dict(u or {})
@@ -137,6 +136,8 @@ class Representation:
                 loop_maps[(vtx, label)] = _pop_map(loops, "loop", (vtx, label), n, n)
         if loops:
             raise ShapeError(f"loop maps on unknown loops {sorted(map(str, loops))}")
+        if unknown:
+            raise ShapeError(f"dims given for unknown vertices {sorted(unknown)}")
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "u", u_maps)
@@ -389,18 +390,26 @@ class DirectionResolver:
         )
 
 
+def overlap_directions(bases: Dict[Cone, ChartBasis]):
+    """The index set of relation (iii), as (K, K', J, labels) once per
+    ordered pair of distinct maximal cones (K, K') and vertex J of their
+    overlap; labels are the chart-K' basis directions p outside the
+    overlap.  The operator of p at J must equal the product of chart-K
+    operators with the exponents of p's vector in chart K (coordinates on
+    J are dropped; they die on the stratum)."""
+    tops = sorted(bases, key=lambda c: c.ray_indices)
+    for k, kp in itertools.permutations(tops, 2):
+        overlap = tuple(sorted(set(k.ray_indices) & set(kp.ray_indices)))
+        labels = [p for p in bases[kp].labels if p not in overlap]
+        for j in subsets(overlap):
+            yield k, kp, j, labels
+
+
 def validate_CDelta(
     rep: Representation, fan: Fan, bases=None
 ) -> List[Violation]:
     """Fan category: (i), (ii), loop coherence, and (iii) the monodromy
-    relations between overlapping charts.
-
-    For every ordered pair of distinct maximal cones (K, K'), every
-    vertex J inside the overlap and every chart-K' basis direction p
-    outside the overlap, the operator of p at J must equal the product of
-    chart-K operators with the exponents of p's vector in chart K
-    (coordinates on J are dropped; they die on the stratum).
-    """
+    relations between overlapping charts, over overlap_directions(bases)."""
     if bases is None:
         bases = chart_bases(fan)
     if rep.quiver != fan_quiver(fan, bases):
@@ -426,25 +435,21 @@ def validate_CDelta(
                 out += transport_violations(
                     rep, edge, label, op_low, op_high, "monodromy direction"
                 )
-    for k, kp in itertools.permutations(tops, 2):
-        overlap = tuple(sorted(set(k.ray_indices) & set(kp.ray_indices)))
-        for j in subsets(overlap):
-            for p in bases[kp].labels:
-                if p in overlap:
-                    continue
-                try:
-                    lhs = resolver.operator(j, p)
-                    rhs = resolver.expansion(j, k, p)
-                except NotInvertibleError:
-                    continue  # already reported by condition (i) or the loop checks
-                if lhs != rhs:
-                    out.append(
-                        Violation(
-                            "iii",
-                            (cone_key(k), cone_key(kp), vertex_key(j), p),
-                            _diff_detail(lhs, rhs),
-                        )
+    for k, kp, j, labels in overlap_directions(bases):
+        for p in labels:
+            try:
+                lhs = resolver.operator(j, p)
+                rhs = resolver.expansion(j, k, p)
+            except NotInvertibleError:
+                continue  # already reported by condition (i) or the loop checks
+            if lhs != rhs:
+                out.append(
+                    Violation(
+                        "iii",
+                        (cone_key(k), cone_key(kp), vertex_key(j), p),
+                        _diff_detail(lhs, rhs),
                     )
+                )
     return sorted(out, key=violation_sort_key)
 
 

@@ -9,12 +9,18 @@ kernels must return exactly the same Fractions and raise
 ``_hom_system`` is the Kronecker-product assembly of the Hom system that
 ``fanrep.reps`` used before it wrote each row directly; the direct
 assembly must return the same matrix, entry for entry.
+
+``basis_coordinates`` is the rational version that ``fanrep.charts`` used
+before chart-basis inverses were computed over Z; ``unimodular_matrices``
+draws the random unimodular inputs both integer inverses are tested on.
 """
 
 from fractions import Fraction
 from typing import List
 
-from fanrep.exactnum import NotInvertibleError, RatMatrix
+from hypothesis import strategies as st
+
+from fanrep.exactnum import IntMatrix, NotInvertibleError, RatMatrix
 from fanrep.reps import Representation, _arrow_maps
 
 
@@ -183,3 +189,38 @@ def _hom_system(a: Representation, b: Representation):
     else:
         system = RatMatrix.zeros(0, total)
     return system, offsets, total
+
+
+def basis_coordinates(basis, vector) -> dict:
+    """Coordinates of an integer vector in a chart basis, by label, through
+    the rational inverse of the basis."""
+    vector = list(vector)
+    if len(vector) != basis.basis.rows:
+        raise ValueError(f"vector {vector} is not {basis.basis.rows}-dimensional")
+    coords = mat_mul(invert(basis.basis.to_rational()), RatMatrix.column(vector))
+    out = {}
+    for label, value in zip(basis.labels, coords.entries):
+        if value.denominator != 1:
+            raise ValueError(f"{vector} has non-integer coordinates in the chart basis")
+        out[label] = value.numerator
+    return out
+
+
+@st.composite
+def unimodular_matrices(draw, max_dim=4):
+    """A product of elementary integer matrices (row additions, swaps and
+    negations) of size 1..max_dim."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    index = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["add", "swap", "neg"]))
+        i, j = draw(index), draw(index)
+        if kind == "add" and i != j:
+            c = draw(st.integers(min_value=-3, max_value=3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "neg":
+            rows[i] = [-x for x in rows[i]]
+    return IntMatrix.from_rows(rows)

@@ -3,17 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_kernels as ref
 from fanrep.charts import (
     CocycleError,
     IllPosedError,
     MonomialMap,
+    basis_coordinates,
     check_cocycle,
     compose,
     gluing_map,
     stratum_loop_exponents,
 )
 from fanrep.exactnum import IntMatrix
-from fanrep.geometry import Cone, Fan, chart_bases, maximal_cones
+from fanrep.geometry import ChartBasis, Cone, Fan, chart_bases, maximal_cones
 
 
 def p1_setup():
@@ -181,3 +183,13 @@ def test_compose_matches_exponent_product(a, b):
 def test_inverse_roundtrip(a):
     m = MonomialMap(a)
     assert compose(m.inverse(), m).is_identity()
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_basis_coordinates_match_rational_reference(data):
+    b = data.draw(ref.unimodular_matrices())
+    k = data.draw(st.integers(min_value=0, max_value=b.cols))
+    basis = ChartBasis(cone=Cone(tuple(range(1, k + 1))), labels=tuple(range(1, b.cols + 1)), basis=b)
+    vector = data.draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=b.rows, max_size=b.rows))
+    assert basis_coordinates(basis, vector) == ref.basis_coordinates(basis, vector)

@@ -1,7 +1,10 @@
 """Descent data: validation, gluing, and the section round trips."""
 
 import itertools
+import json
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -608,6 +611,14 @@ class TestReverseDelta:
     def test_singular_reverse_delta_rejected(self):
         with pytest.raises(DescentError, match="delta for .* is singular"):
             self.reverse_only(0)
+
+    @pytest.mark.parametrize("key", ["2|1|", "1|2|"])
+    def test_singular_delta_named_by_its_file_key(self, key):
+        path = pathlib.Path(__file__).parent / "fixtures" / "descent_p1_ok.json"
+        data = json.loads(path.read_text())
+        data["deltas"] = {key: [["0"]]}
+        with pytest.raises(DescentError, match=f"^delta for {re.escape(key)} is singular$"):
+            descent_from_json(data)
 
 
 class TestStrayDelta:

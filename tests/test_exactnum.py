@@ -20,6 +20,7 @@ from fanrep.exactnum import (
     rank,
     smith_normal_form,
     solve_nullspace,
+    unimodular_inverse,
 )
 
 
@@ -391,3 +392,27 @@ def test_kernels_agree_with_sympy(data):
         assert a.det() == exact([m.det()])[0]
         if a.is_invertible():
             assert invert(a).entries == exact(m.inv())
+
+
+@given(ref.unimodular_matrices())
+@settings(max_examples=150)
+def test_unimodular_inverse_matches_rational_inverse(m):
+    got = unimodular_inverse(m)
+    assert type(got) is IntMatrix
+    assert list(map(Fraction, got.entries)) == list(invert(m.to_rational()).entries)
+
+
+@given(int_matrices(max_dim=4))
+def test_unimodular_inverse_rejects_other_matrices(a):
+    if a.is_unimodular():
+        assert a.mul(unimodular_inverse(a)) == IntMatrix.identity(a.rows)
+    else:
+        with pytest.raises(ValueError):
+            unimodular_inverse(a)
+
+
+def test_unimodular_inverse_messages():
+    with pytest.raises(ValueError, match="not square"):
+        unimodular_inverse(IntMatrix(1, 2, [1, 0]))
+    with pytest.raises(ValueError, match="not unimodular"):
+        unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))

@@ -101,6 +101,10 @@ class TestShapeChecks:
         with pytest.raises(ShapeError):
             Representation(hypercube_quiver(0), {(): 1}, {((), (1,)): scalar(1)})
 
+    def test_unknown_vertex_dims(self):
+        with pytest.raises(ShapeError, match=r"dims given for unknown vertices \[\(5,\)\]"):
+            Representation(hypercube_quiver(1), {(): 1, (5,): 2})
+
 
 class TestValidateCn:
     def test_zero_maps_ok(self):
