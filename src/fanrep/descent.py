@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Tuple
 
 from .exactnum import NotInvertibleError, RatMatrix, invert, mat_mul
@@ -34,6 +35,7 @@ from .reps import (
     Morphism,
     Representation,
     Violation,
+    cdelta_verdict,
     chart_operator,
     check_invertibility,
     check_loops,
@@ -43,7 +45,6 @@ from .reps import (
     overlap_directions,
     rep_from_json,
     rep_to_json,
-    validate_CDelta,
     violation_sort_key,
 )
 
@@ -92,15 +93,17 @@ class DescentDatum:
     delta(K, K', J): E^K_J -> E^K'_J.  Only one direction per pair needs
     to be supplied; the reverse is the exact inverse.  Both directions are
     kept, so delta() never inverts.  delta(K, K, J) is the identity.
+    charts and bases are read-only mappings, and the datum keeps its
+    validate_descent verdict once computed.
     """
 
-    __slots__ = ("fan", "bases", "basis_overrides", "charts", "_deltas", "_inverses")
+    __slots__ = ("fan", "bases", "basis_overrides", "charts", "_deltas", "_inverses", "_verdict")
 
     def __init__(self, fan: Fan, charts: Dict[Cone, Representation], deltas, bases=None, basis_overrides=None):
         if bases is None:
             bases = chart_bases(fan, basis_overrides)
         object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "bases", MappingProxyType(dict(bases)))
         object.__setattr__(self, "basis_overrides", dict(basis_overrides or {}))
         tops = maximal_cones(fan)
         charts = dict(charts)
@@ -115,7 +118,7 @@ class DescentDatum:
         extra = set(charts) - set(tops)
         if extra:
             raise DescentError(f"charts given for non-maximal cones {sorted(extra)}")
-        object.__setattr__(self, "charts", charts)
+        object.__setattr__(self, "charts", MappingProxyType(charts))
 
         stored = {}
         inverses = {}
@@ -139,8 +142,7 @@ class DescentDatum:
                 inverses[key] = mat
             if key in stored and stored[key] != mat_fwd:
                 raise DescentError(
-                    f"deltas for {key[0].ray_indices}|{key[1].ray_indices}|{j} "
-                    "disagree with the inverse-pair invariant"
+                    f"deltas for {_delta_key(*key)} disagree with the inverse-pair invariant"
                 )
             stored[key] = mat_fwd
         for key in overlaps(tops):
@@ -158,6 +160,7 @@ class DescentDatum:
                 inverses[key] = _exact_inverse(mat, *key)
         object.__setattr__(self, "_deltas", stored)
         object.__setattr__(self, "_inverses", inverses)
+        object.__setattr__(self, "_verdict", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DescentDatum is immutable")
@@ -198,7 +201,18 @@ def _exact_inverse(mat: RatMatrix, k: Cone, kp: Cone, j: Vertex) -> RatMatrix:
 
 def validate_descent(d: DescentDatum) -> List[Violation]:
     """Check chart validity, overlap conjugation, monodromy transport,
-    and the triple cocycle."""
+    and the triple cocycle.  The verdict is computed once per datum and
+    kept on it; each call returns a fresh list."""
+    return list(_verdict(d))
+
+
+def _verdict(d: DescentDatum) -> Tuple[Violation, ...]:
+    if d._verdict is None:
+        object.__setattr__(d, "_verdict", tuple(_check_descent(d)))
+    return d._verdict
+
+
+def _check_descent(d: DescentDatum) -> List[Violation]:
     out: List[Violation] = []
     tops = maximal_cones(d.fan)
     for cone in tops:
@@ -256,18 +270,22 @@ def validate_descent(d: DescentDatum) -> List[Violation]:
                     )
                 )
 
-    for a, b, c in itertools.permutations(tops, 3):
+    # the deltas are exact inverse pairs, so the six orders of a triple
+    # hold or fail together: one product per unordered triple, and a
+    # violation for each order
+    for triple in itertools.combinations(tops, 3):
+        a, b, c = triple
         overlap = set(a.ray_indices) & set(b.ray_indices) & set(c.ray_indices)
         for j in subsets(sorted(overlap)):
-            left = mat_mul(d.delta(b, c, j), d.delta(a, b, j))
-            if left != d.delta(a, c, j):
-                out.append(
+            if mat_mul(d.delta(b, c, j), d.delta(a, b, j)) != d.delta(a, c, j):
+                out += [
                     Violation(
                         "cocycle",
-                        (cone_key(a), cone_key(b), cone_key(c), vertex_key(j)),
+                        tuple(map(cone_key, order)) + (vertex_key(j),),
                         "deltas fail the triple cocycle",
                     )
-                )
+                    for order in itertools.permutations(triple)
+                ]
     return sorted(out, key=violation_sort_key)
 
 
@@ -283,10 +301,14 @@ def glue(d: DescentDatum) -> Representation:
 
     Each vertex is owned by the lexicographically first maximal cone
     containing it; arrows whose two ends have different owners are routed
-    through the owning charts' delta.  An invalid datum raises DescentError
-    with the sorted list of its violations in ``violations``.
+    through the owning charts' delta, and the others keep the chart's maps.
+    The datum is read-only, so glue reuses the verdict validate_descent
+    kept on it (or computes and keeps it).  An invalid datum raises
+    DescentError naming its first violation, with the sorted list of its
+    violations in ``violations``; the message is the same whether the
+    verdict was kept or computed here.
     """
-    violations = validate_descent(d)
+    violations = _verdict(d)
     if violations:
         raise DescentError(
             f"descent datum is invalid; first violation: {violations[0]}", violations
@@ -308,8 +330,11 @@ def glue(d: DescentDatum) -> Representation:
         a = owners[low]
         b = owners[high]
         chart = d.charts[b]
-        u[edge] = mat_mul(chart.u[edge], d.delta(a, b, low))
-        v[edge] = mat_mul(d.delta(b, a, low), chart.v[edge])
+        if a == b:
+            u[edge], v[edge] = chart.u[edge], chart.v[edge]
+        else:
+            u[edge] = mat_mul(chart.u[edge], d.delta(a, b, low))
+            v[edge] = mat_mul(d.delta(b, a, low), chart.v[edge])
     loops = {}
     for vtx in quiver.vertices:
         owner = owners[vtx]
@@ -327,10 +352,13 @@ def glue(d: DescentDatum) -> Representation:
 
 def section(rep: Representation, fan: Fan, bases=None, basis_overrides=None) -> DescentDatum:
     """Restrict a valid fan-quiver representation to every chart, with
-    identity deltas."""
+    identity deltas.  The representation is read-only, so section reuses
+    the verdict validate_CDelta kept on it for this fan and these bases
+    (or computes and keeps it).  An invalid one raises DescentError
+    naming its first violation, kept verdict or not."""
     if bases is None:
         bases = chart_bases(fan, basis_overrides)
-    violations = validate_CDelta(rep, fan, bases)
+    violations = cdelta_verdict(rep, fan, bases)
     if violations:
         raise DescentError(
             f"representation is invalid; first violation: {violations[0]}"

@@ -309,18 +309,24 @@ class RatMatrix(_Matrix):
         return _bareiss_det([_scaled(self.row(i))[1] for i in range(self.rows)]) != 0
 
     def power(self, k: int) -> "RatMatrix":
-        """Exact integer power; negative exponents go through the inverse."""
+        """Exact integer power; negative exponents go through the inverse.
+        Only power(0) builds the identity: the product starts from its
+        first factor and squares only while bits remain, so power(1) and
+        power(-1) make no mat_mul."""
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
-        base = self if k >= 0 else invert(self)
+        if k == 0:
+            return RatMatrix.identity(self.rows)
+        base = self if k > 0 else invert(self)
         k = abs(k)
-        result = RatMatrix.identity(self.rows)
-        while k:
+        result = None
+        while True:
             if k & 1:
-                result = mat_mul(result, base)
-            base = mat_mul(base, base)
+                result = base if result is None else mat_mul(result, base)
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = mat_mul(base, base)
 
     def det(self) -> Fraction:
         if not self.is_square():

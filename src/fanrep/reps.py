@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
 from .charts import stratum_loop_exponents
@@ -107,9 +108,11 @@ def _pop_map(maps: dict, kind: str, key, rows: int, cols: int) -> RatMatrix:
 
 
 class Representation:
-    """Immutable representation of a quiver over Q."""
+    """Immutable representation of a quiver over Q.  dims, u, v and
+    loop_maps are read-only mappings, so a validation verdict computed
+    once stays true for the object's lifetime (see cdelta_verdict)."""
 
-    __slots__ = ("quiver", "dims", "u", "v", "loop_maps")
+    __slots__ = ("quiver", "dims", "u", "v", "loop_maps", "_cdelta")
 
     def __init__(self, quiver: Quiver, dims: Dict[Vertex, int], u=None, v=None, loops=None):
         unknown = set(dims) - set(quiver.vertices)
@@ -139,10 +142,11 @@ class Representation:
         if unknown:
             raise ShapeError(f"dims given for unknown vertices {sorted(unknown)}")
         object.__setattr__(self, "quiver", quiver)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "u", u_maps)
-        object.__setattr__(self, "v", v_maps)
-        object.__setattr__(self, "loop_maps", loop_maps)
+        object.__setattr__(self, "dims", MappingProxyType(dims))
+        object.__setattr__(self, "u", MappingProxyType(u_maps))
+        object.__setattr__(self, "v", MappingProxyType(v_maps))
+        object.__setattr__(self, "loop_maps", MappingProxyType(loop_maps))
+        object.__setattr__(self, "_cdelta", None)  # (fan, bases, verdict) of the last C_Delta check
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
@@ -330,13 +334,16 @@ def exponent_product(
 ) -> RatMatrix:
     """Operator of a lattice direction at a vertex: the product, in label
     order, of operator(rep, basis, vertex, label) raised to the direction's
-    exponents in the chart basis (labels inside the vertex are dropped)."""
-    result = RatMatrix.identity(rep.dims[vertex])
+    exponents in the chart basis (labels inside the vertex are dropped).
+    The product starts from its first nonzero factor; only an empty
+    product is the identity."""
+    result = None
     alpha = stratum_loop_exponents(basis, vertex, vector)
     for label in sorted(alpha):
         if alpha[label]:
-            result = mat_mul(result, operator(rep, basis, vertex, label).power(alpha[label]))
-    return result
+            factor = operator(rep, basis, vertex, label).power(alpha[label])
+            result = factor if result is None else mat_mul(result, factor)
+    return RatMatrix.identity(rep.dims[vertex]) if result is None else result
 
 
 class DirectionResolver:
@@ -409,9 +416,28 @@ def validate_CDelta(
     rep: Representation, fan: Fan, bases=None
 ) -> List[Violation]:
     """Fan category: (i), (ii), loop coherence, and (iii) the monodromy
-    relations between overlapping charts, over overlap_directions(bases)."""
+    relations between overlapping charts, over overlap_directions(bases).
+    The verdict is computed once per (rep, fan, bases) by cdelta_verdict;
+    each call returns a fresh list."""
     if bases is None:
         bases = chart_bases(fan)
+    return list(cdelta_verdict(rep, fan, bases))
+
+
+def cdelta_verdict(rep: Representation, fan: Fan, bases) -> Tuple[Violation, ...]:
+    """The sorted C_Delta violations of rep, kept on rep itself: a repeat
+    check against an equal fan and equal bases returns the stored tuple.
+    Raises ValueError, and stores nothing, if rep is not over the fan
+    quiver."""
+    memo = rep._cdelta
+    if memo is not None and memo[0] == fan and memo[1] == bases:
+        return memo[2]
+    verdict = tuple(_check_CDelta(rep, fan, bases))
+    object.__setattr__(rep, "_cdelta", (fan, dict(bases), verdict))
+    return verdict
+
+
+def _check_CDelta(rep: Representation, fan: Fan, bases) -> List[Violation]:
     if rep.quiver != fan_quiver(fan, bases):
         raise ValueError("representation quiver does not match the fan quiver")
     out = check_invertibility(rep) + check_squares(rep) + _check_loops_pointwise(rep)

@@ -13,15 +13,23 @@ assembly must return the same matrix, entry for entry.
 ``basis_coordinates`` is the rational version that ``fanrep.charts`` used
 before chart-basis inverses were computed over Z; ``unimodular_matrices``
 draws the random unimodular inputs both integer inverses are tested on.
+
+``power`` is the repeated product a matrix power must equal, and
+``cocycle_violations`` is the descent cocycle walk over every ordered
+triple of charts that ``fanrep.descent`` made before it computed one
+product per unordered triple.
 """
 
+import itertools
 from fractions import Fraction
 from typing import List
 
 from hypothesis import strategies as st
 
 from fanrep.exactnum import IntMatrix, NotInvertibleError, RatMatrix
-from fanrep.reps import Representation, _arrow_maps
+from fanrep.geometry import cone_key, maximal_cones
+from fanrep.quivers import subsets, vertex_key
+from fanrep.reps import Representation, Violation, _arrow_maps
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -224,3 +232,31 @@ def unimodular_matrices(draw, max_dim=4):
         elif kind == "neg":
             rows[i] = [-x for x in rows[i]]
     return IntMatrix.from_rows(rows)
+
+
+def power(a: RatMatrix, k: int) -> RatMatrix:
+    """a^k as |k| products from the identity, through the inverse if k < 0."""
+    base = a if k >= 0 else invert(a)
+    result = RatMatrix.identity(a.rows)
+    for _ in range(abs(k)):
+        result = mat_mul(result, base)
+    return result
+
+
+def cocycle_violations(d) -> List[Violation]:
+    """The cocycle violations of a descent datum, one product per ordered
+    triple (a, b, c) and vertex J of their overlap."""
+    out = []
+    for a, b, c in itertools.permutations(maximal_cones(d.fan), 3):
+        overlap = set(a.ray_indices) & set(b.ray_indices) & set(c.ray_indices)
+        for j in subsets(sorted(overlap)):
+            left = mat_mul(d.delta(b, c, j), d.delta(a, b, j))
+            if left != d.delta(a, c, j):
+                out.append(
+                    Violation(
+                        "cocycle",
+                        (cone_key(a), cone_key(b), cone_key(c), vertex_key(j)),
+                        "deltas fail the triple cocycle",
+                    )
+                )
+    return out

@@ -8,7 +8,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import reference_kernels as ref
+from fanrep import descent, reps
 from fanrep.descent import (
     DescentDatum,
     DescentError,
@@ -18,6 +21,7 @@ from fanrep.descent import (
     descent_to_json,
     glue,
     glue_morphism,
+    overlaps,
     section,
     validate_descent,
 )
@@ -30,6 +34,7 @@ from fanrep.reps import (
     hom_basis,
     rep_to_json,
     validate_CDelta,
+    violation_sort_key,
 )
 
 
@@ -612,6 +617,13 @@ class TestReverseDelta:
         with pytest.raises(DescentError, match="delta for .* is singular"):
             self.reverse_only(0)
 
+    def test_disagreeing_pair_named_by_its_file_key(self):
+        path = pathlib.Path(__file__).parent / "fixtures" / "descent_p1_ok.json"
+        data = json.loads(path.read_text())
+        data["deltas"] = {"1|2|": [["1"]], "2|1|": [["2"]]}
+        with pytest.raises(DescentError, match=r"^deltas for 1\|2\| disagree"):
+            descent_from_json(data)
+
     @pytest.mark.parametrize("key", ["2|1|", "1|2|"])
     def test_singular_delta_named_by_its_file_key(self, key):
         path = pathlib.Path(__file__).parent / "fixtures" / "descent_p1_ok.json"
@@ -638,3 +650,124 @@ class TestStrayDelta:
     def test_non_maximal_cone_rejected(self):
         with pytest.raises(DescentError, match=r"delta 1\|1,2\|1 does not lie on the overlap"):
             self.with_extra((Cone((1,)), Cone((1, 2)), (1,)))
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def p2_ok_datum():
+    return descent_from_json(json.loads((FIXTURES / "descent_p2_ok.json").read_text()))
+
+
+class TestReadOnlyAndVerdict:
+    """A datum is read-only and validates once; glue and section reuse
+    the verdicts kept on the datum and on the glued representation."""
+
+    def test_charts_and_bases_are_read_only(self):
+        d = p2_ok_datum()
+        cone = maximal_cones(d.fan)[0]
+        with pytest.raises(TypeError):
+            d.charts[cone] = d.charts[cone]
+        with pytest.raises(TypeError):
+            d.bases[cone] = d.bases[cone]
+        with pytest.raises(TypeError):
+            d.charts[cone].u[d.charts[cone].quiver.arrow_pairs[0]] = scalar(1)
+
+    def test_each_call_returns_a_fresh_list(self):
+        d = p1_datum(2, 2)
+        first = validate_descent(d)
+        assert first
+        want = list(first)
+        first.append(first[0])
+        assert validate_descent(d) == want
+        with pytest.raises(DescentError) as info:
+            glue(d)
+        assert info.value.violations == want
+
+    def test_pipeline_checks_squares_once_per_object(self, monkeypatch):
+        checked = []
+
+        def counting(rep):
+            checked.append(rep)
+            return real(rep)
+
+        real = reps.check_squares
+        monkeypatch.setattr(reps, "check_squares", counting)
+        monkeypatch.setattr(descent, "check_squares", counting)
+        d = p2_ok_datum()
+        assert validate_descent(d) == []
+        glued = glue(d)
+        assert validate_CDelta(glued, d.fan, d.bases) == []
+        section(glued, d.fan, d.bases)
+        assert [id(rep) for rep in checked] == [id(c) for c in d.charts.values()] + [id(glued)]
+
+    def test_glue_routes_only_cross_owner_arrows_through_delta(self, monkeypatch):
+        d, fan = p2_descent_from_rep()
+        validate_descent(d)
+        tops = maximal_cones(fan)
+        owner = {
+            vtx: next(k for k in tops if set(vtx) <= set(k.ray_indices))
+            for vtx in fan_quiver(fan).vertices
+        }
+        crossing = [e for e in fan_quiver(fan).arrow_pairs if owner[e[0]] != owner[e[1]]]
+        assert 0 < len(crossing) < len(fan_quiver(fan).arrow_pairs)
+        calls = []
+        real = DescentDatum.delta
+
+        def counting(self, k, kp, j):
+            calls.append((k, kp))
+            return real(self, k, kp, j)
+
+        monkeypatch.setattr(DescentDatum, "delta", counting)
+        glue(d)
+        assert len(calls) == 2 * len(crossing)
+        assert all(k != kp for k, kp in calls)
+
+
+def p1xp1_fan():
+    rays = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    tops = [(1, 3), (1, 4), (2, 3), (2, 4)]
+    return Fan(2, rays, [(), (1,), (2,), (3,), (4,)] + tops)
+
+
+@st.composite
+def cocycle_data(draw):
+    """A P^2 or (P^1)^2 datum whose charts have dimension n at every
+    vertex and zero maps, so that only the cocycle can fail.  Each delta
+    is the identity or a random invertible matrix, and one delta at
+    J = () is sometimes set to the product that makes its first triple
+    hold."""
+    fan = draw(st.sampled_from([p2_fan(), p1xp1_fan()]))
+    n = draw(st.integers(min_value=1, max_value=2))
+    bases = chart_bases(fan)
+    tops = maximal_cones(fan)
+    charts = {}
+    for cone in tops:
+        quiver = chart_quiver(fan, bases, cone)
+        charts[cone] = Representation(quiver, {vtx: n for vtx in quiver.vertices})
+    entries = st.integers(min_value=-2, max_value=2)
+    deltas = {}
+    for key in overlaps(tops):
+        if draw(st.booleans()):
+            deltas[key] = RatMatrix.identity(n)
+        else:
+            mat = RatMatrix(n, n, draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+            assume(mat.is_invertible())
+            deltas[key] = mat
+    if draw(st.booleans()):
+        a, b, c = tops[:3]
+        deltas[(a, c, ())] = mat_mul(deltas[(b, c, ())], deltas[(a, b, ())])
+    return DescentDatum(fan, charts, deltas, bases=bases)
+
+
+@given(cocycle_data())
+@settings(max_examples=60, deadline=None)
+def test_cocycle_triples_match_the_ordered_walk(d):
+    def rows(violations):
+        return [
+            (v.condition, v.location, v.detail)
+            for v in sorted(violations, key=violation_sort_key)
+        ]
+
+    got = [v for v in validate_descent(d) if v.condition == "cocycle"]
+    assert rows(got) == rows(ref.cocycle_violations(d))

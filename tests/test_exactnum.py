@@ -283,6 +283,35 @@ def test_power_negative_exponent():
     assert b.power(0) == RatMatrix.identity(2)
 
 
+@given(st.data())
+@settings(max_examples=80)
+def test_power_equals_repeated_product(data):
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    a = data.draw(rat_matrices(n, n, entries).filter(lambda m: m.is_invertible()))
+    for k in range(-5, 6):
+        assert a.power(k) == ref.power(a, k)
+    assert a.power(0) == RatMatrix.identity(n)
+
+
+@pytest.mark.parametrize("k, products", [(1, 0), (-1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (-6, 3)])
+def test_power_makes_no_identity_products(monkeypatch, k, products):
+    """floor(log2 |k|) squarings plus one product per further set bit."""
+    from fanrep import exactnum
+
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(exactnum, "mat_mul", counting)
+    a = rat([[1, 1], [0, 1]])
+    assert a.power(k) == rat([[1, k], [0, 1]])
+    assert len(calls) == products
+    assert all(RatMatrix.identity(2) not in pair for pair in calls)
+
+
 # --- differential tests: the integer kernels against the Fraction reference ---
 
 # zeros make singular and rank-deficient matrices common; large

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
-from fanrep.exactnum import RatMatrix, mat_mul
+from fanrep.exactnum import IntMatrix, RatMatrix, mat_mul
 from fanrep.geometry import Cone, Fan, chart_bases
 from fanrep.quivers import Quiver, arrangement_quiver, cube_quiver, fan_quiver, hypercube_quiver
 from fanrep.reps import (
@@ -328,6 +328,63 @@ class TestValidateCDelta:
         )
         violations = validate_CDelta(bad, fan)
         assert ("loop", ("", 1, 2)) in {(v.condition, v.location) for v in violations}
+
+
+class TestReadOnlyAndVerdict:
+    """A representation is read-only and keeps its C_Delta verdict, keyed
+    by the fan and the chart bases by value."""
+
+    def test_maps_are_read_only(self):
+        rep = p1_rep(Fraction(2), Fraction(1, 2))
+        edge = ((), (1,))
+        with pytest.raises(TypeError):
+            rep.u[edge] = scalar(5)
+        with pytest.raises(TypeError):
+            rep.v[edge] = scalar(5)
+        with pytest.raises(TypeError):
+            rep.dims[()] = 3
+        with pytest.raises(TypeError):
+            single_vertex_loop_rep(scalar(2)).loop_maps[((), 1)] = scalar(3)
+        assert rep.u[edge] == scalar(1) and rep.dims[()] == 1
+
+    def test_each_call_returns_a_fresh_list(self):
+        rep = p1_rep(Fraction(2), Fraction(3))
+        first = validate_CDelta(rep, p1_fan())
+        assert first
+        want = list(first)
+        first.clear()
+        assert validate_CDelta(rep, p1_fan()) == want
+
+    def cross_chart_rep(self):
+        """P^1 x C*: loop label 3 is 2 at the first chart's vertices and
+        loop label 4 is 2 at (2,); with u = 1 and v = 0 the transport
+        along () -> (2,) holds exactly when chart (2,)'s completion
+        column has second coordinate +1."""
+        fan = Fan(2, [(1, 0), (-1, 0)], [(), (1,), (2,)])
+        quiver = fan_quiver(fan)
+        loops = {((), 3): scalar(2), ((1,), 3): scalar(2), ((2,), 4): scalar(2)}
+        u = {edge: scalar(1) for edge in quiver.arrow_pairs}
+        return fan, Representation(quiver, {v: 1 for v in quiver.vertices}, u, None, loops)
+
+    def test_verdict_is_keyed_by_bases_value(self):
+        fan, rep = self.cross_chart_rep()
+        flipped = chart_bases(fan, {Cone((2,)): IntMatrix.from_columns([(-1, 0), (0, -1)], 2)})
+        fresh = self.cross_chart_rep()[1]
+        want = validate_CDelta(fresh, fan, flipped)
+        assert [v.location for v in want] == [("-2", 4, "u")]
+
+        bases = dict(chart_bases(fan))
+        assert validate_CDelta(rep, fan, bases) == []
+        bases[Cone((2,))] = flipped[Cone((2,))]  # the caller's dict changes
+        assert validate_CDelta(rep, fan, bases) == want
+        assert validate_CDelta(rep, fan, flipped) == want
+        assert validate_CDelta(rep, fan) == []
+
+    def test_verdict_is_keyed_by_fan(self):
+        rep = p1_rep(Fraction(2), Fraction(1, 2))
+        assert validate_CDelta(rep, p1_fan()) == []
+        with pytest.raises(ValueError, match="does not match the fan quiver"):
+            validate_CDelta(rep, p2_fan())
 
 
 def p2_valid_rep():
