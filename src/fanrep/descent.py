@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Tuple
 
-from .exactnum import NotInvertibleError, RatMatrix, invert, mat_mul
+from .exactnum import NotInvertibleError, RatMatrix, check_keys, invert, mat_mul
 from .geometry import (
     ChartBasis,
     Cone,
@@ -36,12 +36,10 @@ from .reps import (
     Representation,
     Violation,
     cdelta_verdict,
-    chart_operator,
     check_invertibility,
     check_loops,
     check_squares,
     edge_key,
-    exponent_product,
     overlap_directions,
     rep_from_json,
     rep_to_json,
@@ -191,8 +189,10 @@ def _delta_key(k: Cone, kp: Cone, j: Vertex) -> str:
 
 
 def _exact_inverse(mat: RatMatrix, k: Cone, kp: Cone, j: Vertex) -> RatMatrix:
-    """Inverse of the delta given for (K, K', J); a singular one is named
-    by its key as written."""
+    """Inverse of the delta given for (K, K', J); an identity is its own
+    inverse, and a singular one is named by its key as written."""
+    if mat.is_identity():
+        return mat
     try:
         return invert(mat)
     except NotInvertibleError:
@@ -212,13 +212,23 @@ def _verdict(d: DescentDatum) -> Tuple[Violation, ...]:
     return d._verdict
 
 
+def _chart_resolvers(d: DescentDatum) -> Dict[Cone, DirectionResolver]:
+    """One direction resolver per chart, over the bases holding that
+    chart alone."""
+    return {
+        cone: DirectionResolver(chart, d.fan, {cone: d.bases[cone]})
+        for cone, chart in d.charts.items()
+    }
+
+
 def _check_descent(d: DescentDatum) -> List[Violation]:
     out: List[Violation] = []
     tops = maximal_cones(d.fan)
+    resolvers = _chart_resolvers(d)
     for cone in tops:
         chart = d.charts[cone]
         for violation in (
-            check_invertibility(chart) + check_squares(chart) + check_loops(chart)
+            check_invertibility(chart) + check_squares(chart) + check_loops(resolvers[cone])
         ):
             out.append(
                 Violation(
@@ -251,14 +261,12 @@ def _check_descent(d: DescentDatum) -> List[Violation]:
             ]
 
     for a, b, j, labels in overlap_directions(d.bases):
-        ca, cb = d.charts[a], d.charts[b]
-        basis_a, basis_b = d.bases[a], d.bases[b]
         dj = d.delta(a, b, j)
         for p in labels:
-            # dj^-1 . op_b . dj == the exponent product, multiplied through by dj
+            # dj^-1 . op_b . dj == the chart-a expansion, multiplied through by dj
             try:
-                lhs = mat_mul(chart_operator(cb, basis_b, j, p), dj)
-                rhs = mat_mul(dj, exponent_product(ca, basis_a, j, basis_b.column(p), chart_operator))
+                lhs = mat_mul(resolvers[b].operator(j, p), dj)
+                rhs = mat_mul(dj, resolvers[a].expansion(j, d.bases[a], resolvers[b].vectors[p]))
             except NotInvertibleError:
                 continue  # the chart validity section already reports this
             if lhs != rhs:
@@ -336,16 +344,16 @@ def glue(d: DescentDatum) -> Representation:
             u[edge] = mat_mul(chart.u[edge], d.delta(a, b, low))
             v[edge] = mat_mul(d.delta(b, a, low), chart.v[edge])
     loops = {}
+    resolvers = _chart_resolvers(d)
     for vtx in quiver.vertices:
         owner = owners[vtx]
-        chart = d.charts[owner]
         ref = loop_reference(fan, Cone(vtx))
         for label in quiver.loops[vtx]:
             if ref == owner:
-                loops[(vtx, label)] = chart.loop_maps[(vtx, label)]
+                loops[(vtx, label)] = d.charts[owner].loop_maps[(vtx, label)]
             else:
-                loops[(vtx, label)] = exponent_product(
-                    chart, bases[owner], vtx, bases[ref].column(label), chart_operator
+                loops[(vtx, label)] = resolvers[owner].expansion(
+                    vtx, bases[owner], bases[ref].column(label)
                 )
     return Representation(quiver, dims, u, v, loops)
 
@@ -432,8 +440,9 @@ def descent_to_json(d: DescentDatum) -> dict:
 def descent_from_json(data: dict) -> DescentDatum:
     if not isinstance(data, dict):
         raise ValueError("descent JSON must be an object")
+    check_keys(data, ("fan", "charts", "deltas"), "$")
     try:
-        fan, overrides = fan_from_json(data["fan"])
+        fan, overrides = fan_from_json(data["fan"], '$["fan"]')
         chart_data = data["charts"]
         delta_data = data["deltas"]
     except (KeyError, TypeError) as exc:
@@ -443,7 +452,7 @@ def descent_from_json(data: dict) -> DescentDatum:
     for key, rep_data in chart_data.items():
         cone = parse_cone_key(key)
         quiver = chart_quiver(fan, bases, cone)
-        charts[cone] = rep_from_json(rep_data, quiver=quiver)
+        charts[cone] = rep_from_json(rep_data, quiver=quiver, where=f'$["charts"]["{key}"]')
     deltas = {}
     for key, rows in delta_data.items():
         a_key, b_key, j_key = key.split("|")

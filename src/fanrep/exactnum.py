@@ -31,6 +31,7 @@ __all__ = [
     "parse_rational",
     "parse_int",
     "parse_ints",
+    "check_keys",
     "parse_digits",
     "format_rational",
     "mat_mul",
@@ -81,6 +82,19 @@ def parse_ints(values, where: str) -> tuple:
     """A JSON list of integers as a tuple; item k is checked by parse_int
     as ``where[k]``."""
     return tuple(parse_int(x, f"{where}[{k}]") for k, x in enumerate(values))
+
+
+def check_keys(obj, allowed, where: str) -> None:
+    """Raise ValueError naming the JSON path of the first key of obj, the
+    JSON object at path ``where``, that is not in ``allowed``, so a
+    misspelled key is not silently ignored.  A value that is not an
+    object is left to its parser."""
+    if isinstance(obj, dict):
+        unknown = sorted(set(obj) - set(allowed))
+        if unknown:
+            raise ValueError(
+                f'unknown key {where}["{unknown[0]}"]; allowed keys: {", ".join(allowed)}'
+            )
 
 
 def parse_digits(text: str, where: str) -> int:

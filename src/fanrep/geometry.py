@@ -16,6 +16,7 @@ from .exactnum import (
     IntMatrix,
     NotCompletableError,
     RatMatrix,
+    check_keys,
     complete_to_unimodular,
     is_primitive,
     parse_digits,
@@ -338,10 +339,12 @@ def fan_to_json(fan: Fan, overrides: Optional[Dict[Cone, IntMatrix]] = None) -> 
     return data
 
 
-def fan_from_json(data: dict) -> tuple:
-    """Parse fan JSON; returns (fan, basis overrides)."""
+def fan_from_json(data: dict, where: str = "$") -> tuple:
+    """Parse fan JSON, the object at JSON path ``where``; returns (fan,
+    basis overrides)."""
     if not isinstance(data, dict):
         raise ValueError("fan JSON must be an object")
+    check_keys(data, ("dim", "rays", "cones", "bases"), where)
     try:
         dim = parse_int(data["dim"], "dim")
         rays = [parse_ints(ray, f"rays[{i}]") for i, ray in enumerate(data["rays"])]

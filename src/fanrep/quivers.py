@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from .exactnum import parse_digits, parse_ints
+from .exactnum import check_keys, parse_digits, parse_ints
 from .geometry import Cone, Fan, chart_bases, loop_reference, subsets
 
 Vertex = Tuple[int, ...]
@@ -82,10 +82,16 @@ class Quiver:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "arrow_pairs", pairs)
         object.__setattr__(self, "loops", norm_loops)
+        # not a dataclass field, so equality still compares arrow_pairs only
+        object.__setattr__(self, "_pair_set", frozenset(pairs))
+
+    def has_edge(self, low: Vertex, high: Vertex) -> bool:
+        """Whether (low, high), two sorted index tuples, is an arrow pair."""
+        return (low, high) in self._pair_set
 
     def edge(self, low, high) -> Edge:
         low, high = _vertex(low), _vertex(high)
-        if (low, high) not in set(self.arrow_pairs):
+        if not self.has_edge(low, high):
             raise KeyError(f"no arrow pair ({low}, {high})")
         return (low, high)
 
@@ -190,11 +196,15 @@ def quiver_to_json(q: Quiver) -> dict:
     }
 
 
-def quiver_from_json(data: dict) -> Quiver:
+def quiver_from_json(data: dict, where: str = "$") -> Quiver:
+    """Parse quiver JSON, the object at JSON path ``where``."""
     if not isinstance(data, dict):
         raise ValueError("quiver JSON must be an object")
+    check_keys(data, ("vertices", "arrows", "loops"), where)
     try:
         vertices = [parse_ints(v, f"vertices[{i}]") for i, v in enumerate(data["vertices"])]
+        for i, a in enumerate(data["arrows"]):
+            check_keys(a, ("low", "high"), f'{where}["arrows"][{i}]')
         pairs = [
             (parse_ints(a["low"], f'arrows[{i}]["low"]'), parse_ints(a["high"], f'arrows[{i}]["high"]'))
             for i, a in enumerate(data["arrows"])

@@ -20,6 +20,7 @@ from .charts import stratum_loop_exponents
 from .exactnum import (
     NotInvertibleError,
     RatMatrix,
+    check_keys,
     mat_mul,
     parse_digits,
     parse_int,
@@ -234,10 +235,17 @@ def check_squares(rep: Representation) -> List[Violation]:
     return out
 
 
-def _check_loops_pointwise(rep: Representation) -> List[Violation]:
-    """Loops are automorphisms and commute at each vertex."""
-    out = []
+def check_loops(resolver: DirectionResolver) -> List[Violation]:
+    """Loops are commuting automorphisms at each vertex, and they
+    transport: along every edge, for each chart of the resolver's bases
+    that contains the upper vertex, each completion direction's operators
+    at the two ends must intertwine with the edge's u and v maps.  On a
+    chart representation those operators are its loops; on a fan-quiver
+    representation an end may carry the direction as a loop, an arrow
+    monodromy or a derived expansion."""
+    rep = resolver.rep
     q = rep.quiver
+    out = []
     for vtx in q.vertices:
         labels = q.loops[vtx]
         for label in labels:
@@ -256,39 +264,32 @@ def _check_loops_pointwise(rep: Representation) -> List[Violation]:
                         "loop maps do not commute",
                     )
                 )
-    return out
-
-
-def transport_violations(
-    rep: Representation, edge, label: int, op_low: RatMatrix, op_high: RatMatrix, what: str
-) -> List[Violation]:
-    """The operators of one direction at the two ends of an edge must
-    intertwine with its u and v maps."""
-    u, v = rep.u[edge], rep.v[edge]
-    checks = (
-        ("u", mat_mul(u, op_low), mat_mul(op_high, u)),
-        ("v", mat_mul(op_low, v), mat_mul(v, op_high)),
-    )
-    return [
-        Violation(
-            "loop", (edge_key(edge), label, arrow), f"{what} does not transport along {arrow}"
-        )
-        for arrow, lhs, rhs in checks
-        if lhs != rhs
-    ]
-
-
-def check_loops(rep: Representation) -> List[Violation]:
-    """Pointwise loop checks plus transport along every edge whose two
-    ends carry the same label (complete coverage within one chart)."""
-    out = _check_loops_pointwise(rep)
-    q = rep.quiver
+    tops = sorted(resolver.bases, key=lambda c: c.ray_indices)
     for edge in q.arrow_pairs:
         low, high = edge
-        for label in sorted(set(q.loops[low]) & set(q.loops[high])):
-            out += transport_violations(
-                rep, edge, label, rep.loop_maps[(low, label)], rep.loop_maps[(high, label)], "loop"
-            )
+        u, v = rep.u[edge], rep.v[edge]
+        for chart in tops:
+            if not set(high) <= set(chart.ray_indices):
+                continue
+            for label in resolver.bases[chart].completion_labels:
+                try:
+                    op_low = resolver.operator(low, label)
+                    op_high = resolver.operator(high, label)
+                except NotInvertibleError:
+                    continue  # already reported by condition (i) or the loop checks
+                checks = (
+                    ("u", mat_mul(u, op_low), mat_mul(op_high, u)),
+                    ("v", mat_mul(op_low, v), mat_mul(v, op_high)),
+                )
+                out += [
+                    Violation(
+                        "loop",
+                        (edge_key(edge), label, arrow),
+                        f"monodromy direction does not transport along {arrow}",
+                    )
+                    for arrow, lhs, rhs in checks
+                    if lhs != rhs
+                ]
     return out
 
 
@@ -319,82 +320,69 @@ def validate_CSigma(rep: Representation) -> List[Violation]:
     return sorted(out, key=violation_sort_key)
 
 
-def chart_operator(
-    rep: Representation, basis: ChartBasis, vertex: Vertex, label: int
-) -> RatMatrix:
-    """Monodromy of a chart-basis direction at a vertex: the arrow
-    monodromy for a ray of the chart's cone, the loop map otherwise."""
-    if label in basis.cone.ray_indices:
-        return monodromy(rep, (vertex, tuple(sorted(vertex + (label,)))), "low")
-    return rep.loop_maps[(vertex, label)]
-
-
-def exponent_product(
-    rep: Representation, basis: ChartBasis, vertex: Vertex, vector, operator
-) -> RatMatrix:
-    """Operator of a lattice direction at a vertex: the product, in label
-    order, of operator(rep, basis, vertex, label) raised to the direction's
-    exponents in the chart basis (labels inside the vertex are dropped).
-    The product starts from its first nonzero factor; only an empty
-    product is the identity."""
-    result = None
-    alpha = stratum_loop_exponents(basis, vertex, vector)
-    for label in sorted(alpha):
-        if alpha[label]:
-            factor = operator(rep, basis, vertex, label).power(alpha[label])
-            result = factor if result is None else mat_mul(result, factor)
-    return RatMatrix.identity(rep.dims[vertex]) if result is None else result
-
-
 class DirectionResolver:
-    """Resolves the monodromy operator of a lattice direction at a vertex.
+    """The one builder of direction operators, for a fan-quiver
+    representation over every chart basis, or for a chart representation
+    over the bases holding its own chart alone.
 
     A direction is named by its label: a ray index, whose vector is the
     ray, or a chart's completion label, whose vector is that chart's
-    basis column (labels are unique across charts).  Order of resolution:
-    the arrow monodromy when vertex + label is a cone, then the loop map
-    with that label, then the expansion of the direction vector in the
-    vertex's reference chart.
+    basis column (labels are unique across charts).  Order of resolution
+    at a vertex: the arrow monodromy when vertex + label is an arrow of
+    rep's quiver, then the loop map with that label, then the expansion
+    of the direction vector in the vertex's reference chart.  On a chart
+    representation every label of the chart's basis resolves as an arrow
+    or a loop.  Each operator, and each integer power of one, is built
+    once per resolver.
     """
 
     def __init__(self, rep: Representation, fan: Fan, bases):
         self.rep = rep
         self.fan = fan
         self.bases = bases
-        self.cone_set = set(fan.cones)
         self.vectors = {
             label: basis.column(label) for basis in bases.values() for label in basis.labels
         }
-        self._cache = {}
+        self._operators = {}
+        self._powers = {}
 
     def operator(self, vertex: Vertex, label: int) -> RatMatrix:
         key = (vertex, label)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._operator(vertex, label)
-            self._cache[key] = cached
-        return cached
+        op = self._operators.get(key)
+        if op is None:
+            op = self._operators[key] = self._operator(vertex, label)
+        return op
+
+    def power(self, vertex: Vertex, label: int, k: int) -> RatMatrix:
+        key = (vertex, label, k)
+        op = self._powers.get(key)
+        if op is None:
+            op = self._powers[key] = self.operator(vertex, label).power(k)
+        return op
 
     def _operator(self, vertex: Vertex, label: int) -> RatMatrix:
         rep = self.rep
         if label not in vertex:
             high = tuple(sorted(vertex + (label,)))
-            if Cone(high) in self.cone_set:
+            if rep.quiver.has_edge(vertex, high):
                 return monodromy(rep, (vertex, high), "low")
         if label in rep.quiver.loops[vertex]:
             return rep.loop_maps[(vertex, label)]
-        return self.expansion(vertex, loop_reference(self.fan, Cone(vertex)), label)
+        ref = self.bases[loop_reference(self.fan, Cone(vertex))]
+        return self.expansion(vertex, ref, self.vectors[label])
 
-    def expansion(self, vertex: Vertex, chart: Cone, label: int) -> RatMatrix:
-        """Product of the operators of chart's basis directions at vertex,
-        raised to the exponents of label's vector in that chart."""
-        return exponent_product(
-            self.rep,
-            self.bases[chart],
-            vertex,
-            self.vectors[label],
-            lambda rep, basis, vtx, lbl: self.operator(vtx, lbl),
-        )
+    def expansion(self, vertex: Vertex, basis: ChartBasis, vector) -> RatMatrix:
+        """Operator at vertex of the lattice direction vector: the product,
+        in label order, of the operators of basis's directions raised to
+        vector's exponents in that basis (labels inside the vertex are
+        dropped).  The product starts from its first nonzero factor; only
+        an empty product is the identity."""
+        result = None
+        for label, k in sorted(stratum_loop_exponents(basis, vertex, vector).items()):
+            if k:
+                factor = self.power(vertex, label, k)
+                result = factor if result is None else mat_mul(result, factor)
+        return RatMatrix.identity(self.rep.dims[vertex]) if result is None else result
 
 
 def overlap_directions(bases: Dict[Cone, ChartBasis]):
@@ -440,32 +428,13 @@ def cdelta_verdict(rep: Representation, fan: Fan, bases) -> Tuple[Violation, ...
 def _check_CDelta(rep: Representation, fan: Fan, bases) -> List[Violation]:
     if rep.quiver != fan_quiver(fan, bases):
         raise ValueError("representation quiver does not match the fan quiver")
-    out = check_invertibility(rep) + check_squares(rep) + _check_loops_pointwise(rep)
     resolver = DirectionResolver(rep, fan, bases)
-    tops = sorted(bases, key=lambda c: c.ray_indices)
-    # loop transport along every edge: for each chart containing the upper
-    # vertex, each completion direction's operators at the two ends must
-    # intertwine with u and v (the ends may carry the direction as a loop,
-    # an arrow product, or a derived expansion)
-    for edge in rep.quiver.arrow_pairs:
-        low, high = edge
-        for chart in tops:
-            if not set(high) <= set(chart.ray_indices):
-                continue
-            for label in bases[chart].completion_labels:
-                try:
-                    op_low = resolver.operator(low, label)
-                    op_high = resolver.operator(high, label)
-                except NotInvertibleError:
-                    continue
-                out += transport_violations(
-                    rep, edge, label, op_low, op_high, "monodromy direction"
-                )
+    out = check_invertibility(rep) + check_squares(rep) + check_loops(resolver)
     for k, kp, j, labels in overlap_directions(bases):
         for p in labels:
             try:
                 lhs = resolver.operator(j, p)
-                rhs = resolver.expansion(j, k, p)
+                rhs = resolver.expansion(j, bases[k], resolver.vectors[p])
             except NotInvertibleError:
                 continue  # already reported by condition (i) or the loop checks
             if lhs != rhs:
@@ -704,11 +673,15 @@ def _parse_loop_key(key: str):
     return parse_vertex_key(vkey), parse_digits(label, f"label of loop key {key!r}")
 
 
-def rep_from_json(data: dict, quiver: Optional[Quiver] = None) -> Representation:
+def rep_from_json(
+    data: dict, quiver: Optional[Quiver] = None, where: str = "$"
+) -> Representation:
+    """Parse representation JSON, the object at JSON path ``where``."""
     if not isinstance(data, dict):
         raise ValueError("representation JSON must be an object")
+    check_keys(data, ("quiver", "dims", "u", "v", "loops"), where)
     if "quiver" in data:
-        quiver = quiver_from_json(data["quiver"])
+        quiver = quiver_from_json(data["quiver"], f'{where}["quiver"]')
     if quiver is None:
         raise ValueError("representation JSON has no quiver and none was supplied")
     try:

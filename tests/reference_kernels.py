@@ -18,6 +18,11 @@ draws the random unimodular inputs both integer inverses are tested on.
 ``cocycle_violations`` is the descent cocycle walk over every ordered
 triple of charts that ``fanrep.descent`` made before it computed one
 product per unordered triple.
+
+``chart_operator`` and ``exponent_product`` are the uncached operator of
+a lattice direction on a chart representation that ``fanrep.reps`` had
+before ``DirectionResolver`` became the only builder of direction
+operators; ``DirectionResolver.expansion`` must equal their product.
 """
 
 import itertools
@@ -26,10 +31,11 @@ from typing import List
 
 from hypothesis import strategies as st
 
+from fanrep.charts import stratum_loop_exponents
 from fanrep.exactnum import IntMatrix, NotInvertibleError, RatMatrix
-from fanrep.geometry import cone_key, maximal_cones
-from fanrep.quivers import subsets, vertex_key
-from fanrep.reps import Representation, Violation, _arrow_maps
+from fanrep.geometry import ChartBasis, cone_key, maximal_cones
+from fanrep.quivers import Vertex, subsets, vertex_key
+from fanrep.reps import Representation, Violation, _arrow_maps, monodromy
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -260,3 +266,30 @@ def cocycle_violations(d) -> List[Violation]:
                     )
                 )
     return out
+
+
+def chart_operator(
+    rep: Representation, basis: ChartBasis, vertex: Vertex, label: int
+) -> RatMatrix:
+    """Monodromy of a chart-basis direction at a vertex: the arrow
+    monodromy for a ray of the chart's cone, the loop map otherwise."""
+    if label in basis.cone.ray_indices:
+        return monodromy(rep, (vertex, tuple(sorted(vertex + (label,)))), "low")
+    return rep.loop_maps[(vertex, label)]
+
+
+def exponent_product(
+    rep: Representation, basis: ChartBasis, vertex: Vertex, vector, operator
+) -> RatMatrix:
+    """Operator of a lattice direction at a vertex: the product, in label
+    order, of operator(rep, basis, vertex, label) raised to the direction's
+    exponents in the chart basis (labels inside the vertex are dropped).
+    The product starts from its first nonzero factor; only an empty
+    product is the identity."""
+    result = None
+    alpha = stratum_loop_exponents(basis, vertex, vector)
+    for label in sorted(alpha):
+        if alpha[label]:
+            factor = operator(rep, basis, vertex, label).power(alpha[label])
+            result = factor if result is None else mat_mul(result, factor)
+    return RatMatrix.identity(rep.dims[vertex]) if result is None else result

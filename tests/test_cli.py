@@ -199,6 +199,37 @@ def test_key_index_must_be_ascii_digits(tmp_path, capsys, name, section, key, ba
     assert f"key {bad!r}" in payload["detail"]
 
 
+UNKNOWN_KEYS = [
+    # (fixture, path to the object, key, key written otherwise, command, JSON path in the error)
+    ("rep_loop2.json", (), "loops", "loop", ("rep", "hom"), '$["loop"]'),
+    ("fan_cxcstar_override.json", (), "bases", "basis", ("fan", "dual"), '$["basis"]'),
+    ("rep_cn_ok.json", ("quiver", "arrows", 0), "low", "lo", ("rep", "validate"), '$["quiver"]["arrows"][0]["lo"]'),
+    ("descent_p2_ok.json", ("charts", "1,2"), "u", "U", ("descent", "check"), '$["charts"]["1,2"]["U"]'),
+    ("descent_p2_ok.json", ("fan",), "cones", "cone", ("descent", "glue"), '$["fan"]["cone"]'),
+]
+
+
+@pytest.mark.parametrize(
+    "name,path,key,bad,command,where", UNKNOWN_KEYS, ids=[case[-1] for case in UNKNOWN_KEYS]
+)
+def test_unknown_key_is_a_parse_error(tmp_path, capsys, name, path, key, bad, command, where):
+    data = json.loads((FIXTURES / name).read_text())
+    node = data
+    for step in path:
+        node = node[step]
+    node[bad] = node.pop(key)
+    target = tmp_path / name
+    target.write_text(json.dumps(data))
+    argv = [*command, str(target)]
+    if command == ("rep", "validate"):
+        argv += ["--category", "cn"]
+    elif command == ("rep", "hom"):
+        argv = [*command, fx(name), str(target)]
+    code, payload = invoke(capsys, *argv)
+    assert (code, payload["error"]) == (2, "parse")
+    assert f"unknown key {where};" in payload["detail"]
+
+
 def test_quiver_build_size_must_be_ascii_digits(capsys):
     code, payload = invoke(capsys, "quiver", "build", "+2", "--family", "hypercube")
     assert (code, payload["error"]) == (2, "parse")

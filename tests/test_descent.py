@@ -5,13 +5,14 @@ import json
 import pathlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_kernels as ref
-from fanrep import descent, reps
+from fanrep import descent, exactnum, reps
 from fanrep.descent import (
     DescentDatum,
     DescentError,
@@ -25,10 +26,11 @@ from fanrep.descent import (
     section,
     validate_descent,
 )
-from fanrep.exactnum import RatMatrix, mat_mul
-from fanrep.geometry import Cone, Fan, chart_bases, maximal_cones
+from fanrep.exactnum import NotInvertibleError, RatMatrix, mat_mul
+from fanrep.geometry import Cone, Fan, chart_bases, fan_from_json, maximal_cones
 from fanrep.quivers import fan_quiver
 from fanrep.reps import (
+    DirectionResolver,
     Morphism,
     Representation,
     hom_basis,
@@ -771,3 +773,126 @@ def test_cocycle_triples_match_the_ordered_walk(d):
 
     got = [v for v in validate_descent(d) if v.condition == "cocycle"]
     assert rows(got) == rows(ref.cocycle_violations(d))
+
+
+class TestOneResolver:
+    """Every direction operator comes from one cached DirectionResolver
+    per validated object."""
+
+    def counting(self, monkeypatch):
+        """Counters of RatMatrix.power per (matrix, exponent) and of
+        monodromy per (representation, edge, end).  Counted objects are
+        kept alive, so no id is reused within a count."""
+        powers, monos, alive = Counter(), Counter(), []
+        real_power, real_mono = RatMatrix.power, reps.monodromy
+
+        def power(self, k):
+            alive.append(self)
+            powers[(id(self), k)] += 1
+            return real_power(self, k)
+
+        def monodromy(rep, edge, end="low"):
+            alive.append(rep)
+            monos[(id(rep), tuple(edge), end)] += 1
+            return real_mono(rep, edge, end)
+
+        monkeypatch.setattr(RatMatrix, "power", power)
+        monkeypatch.setattr(reps, "monodromy", monodromy)
+        return powers, monos
+
+    def test_each_power_once_and_each_monodromy_at_most_twice(self, monkeypatch):
+        powers, monos = self.counting(monkeypatch)
+        d = p2_ok_datum()
+        assert validate_descent(d) == []
+        assert powers and max(powers.values()) == 1
+        assert max(monos.values()) == 2  # condition (i), then the chart's resolver
+        glued = glue(d)
+        powers.clear()
+        monos.clear()
+        assert validate_CDelta(glued, d.fan, d.bases) == []
+        assert powers and max(powers.values()) == 1
+        assert max(monos.values()) == 2
+
+    def test_section_inverts_no_identity_delta(self, monkeypatch):
+        d = p2_ok_datum()
+        glued = glue(d)
+        assert validate_CDelta(glued, d.fan, d.bases) == []
+        calls = []
+        real = exactnum.invert
+
+        def invert(mat):
+            calls.append(mat)
+            return real(mat)
+
+        monkeypatch.setattr(exactnum, "invert", invert)
+        monkeypatch.setattr(descent, "invert", invert)
+        back = section(glued, d.fan, d.bases)
+        assert calls == []
+        for a, b, j in overlaps(maximal_cones(d.fan)):
+            assert back.delta(b, a, j) is back.delta(a, b, j)
+            assert back.delta(a, b, j).is_identity()
+
+
+def cxcstar_override():
+    data = json.loads((FIXTURES / "fan_cxcstar_override.json").read_text())
+    fan, overrides = fan_from_json(data)
+    return fan, chart_bases(fan, overrides)
+
+
+CHART_FANS = [
+    (p2_fan(), chart_bases(p2_fan())),
+    (p1xp1_fan(), chart_bases(p1xp1_fan())),
+    cxcstar_override(),
+]
+
+
+@st.composite
+def chart_directions(draw):
+    """A random representation of one chart of P^2, (P^1)^2 or C x C*
+    with a basis override (dims 1-2, entries -2..2, not necessarily
+    valid), one of its vertices, and integer vectors whose exponents may
+    be negative."""
+    fan, bases = draw(st.sampled_from(CHART_FANS))
+    cone = draw(st.sampled_from(maximal_cones(fan)))
+    quiver = chart_quiver(fan, bases, cone)
+    dims = {vtx: draw(st.integers(min_value=1, max_value=2)) for vtx in quiver.vertices}
+    entries = st.integers(min_value=-2, max_value=2)
+
+    def matrix(rows, cols):
+        return RatMatrix(rows, cols, draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+
+    u = {e: matrix(dims[e[1]], dims[e[0]]) for e in quiver.arrow_pairs}
+    v = {e: matrix(dims[e[0]], dims[e[1]]) for e in quiver.arrow_pairs}
+    loops = {
+        (vtx, label): matrix(dims[vtx], dims[vtx])
+        for vtx in quiver.vertices
+        for label in quiver.loops[vtx]
+    }
+    rep = Representation(quiver, dims, u, v, loops)
+    vertex = draw(st.sampled_from(quiver.vertices))
+    coords = st.lists(st.integers(min_value=-3, max_value=3), min_size=fan.dim, max_size=fan.dim)
+    vectors = draw(st.lists(coords, min_size=1, max_size=4))
+    return rep, fan, bases[cone], vertex, vectors
+
+
+@given(chart_directions())
+@settings(max_examples=150, deadline=None)
+def test_resolver_expansion_matches_the_reference(case):
+    rep, fan, basis, vertex, vectors = case
+
+    def outcome(build):
+        try:
+            return build()
+        except NotInvertibleError:
+            return "singular"
+
+    want = [
+        outcome(lambda: ref.exponent_product(rep, basis, vertex, vector, ref.chart_operator))
+        for vector in vectors
+    ]
+    # one resolver for every vector, twice over, so later expansions read
+    # operators and powers cached by earlier ones
+    resolver = DirectionResolver(rep, fan, {basis.cone: basis})
+    for _ in range(2):
+        got = [outcome(lambda: resolver.expansion(vertex, basis, vector)) for vector in vectors]
+        assert got == want

@@ -1,5 +1,7 @@
 """Quiver constructions and their structural invariants."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,6 +126,20 @@ class TestQuiverValidation:
     def test_duplicate_loop_labels(self):
         with pytest.raises(ValueError):
             Quiver([()], [], {(): (1, 1)})
+
+
+class TestEdgeLookup:
+    def test_edge_normalizes_and_rejects_unknown_pairs(self):
+        q = hypercube_quiver(2)
+        assert q.edge([2], (2, 1)) == ((2,), (1, 2))
+        assert q.has_edge((), (1,)) and not q.has_edge((), (1, 2))
+        with pytest.raises(KeyError):
+            q.edge((), (1, 2))
+
+    def test_lookup_set_is_not_part_of_equality(self):
+        assert [f.name for f in dataclasses.fields(Quiver)] == ["vertices", "arrow_pairs", "loops"]
+        q = hypercube_quiver(2)
+        assert Quiver(q.vertices, reversed(q.arrow_pairs)) == q
 
 
 @given(st.integers(min_value=0, max_value=4))
