@@ -3,8 +3,8 @@
 A descent datum holds one representation per maximal cone (over that
 chart's hypercube-with-loops quiver) plus invertible overlap matrices
 delta indexed by ordered chart pairs and overlap vertices.  Gluing
-assembles a single fan-quiver representation by letting the
-lexicographically first chart containing each vertex own it and routing
+assembles a single fan-quiver representation by letting the vertex's
+reference chart (``loop_reference``) own each vertex and routing
 cross-chart arrows through delta; the quasi-inverse restricts a global
 representation to every chart with identity deltas.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Tuple
 
-from .exactnum import NotInvertibleError, RatMatrix, check_keys, invert, mat_mul
+from .exactnum import NotInvertibleError, RatMatrix, check_keys, invert, mat_mul, parse_object
 from .geometry import (
     ChartBasis,
     Cone,
@@ -35,7 +35,7 @@ from .reps import (
     Morphism,
     Representation,
     Violation,
-    cdelta_verdict,
+    cdelta_resolver,
     check_invertibility,
     check_loops,
     check_squares,
@@ -212,19 +212,14 @@ def _verdict(d: DescentDatum) -> Tuple[Violation, ...]:
     return d._verdict
 
 
-def _chart_resolvers(d: DescentDatum) -> Dict[Cone, DirectionResolver]:
-    """One direction resolver per chart, over the bases holding that
-    chart alone."""
-    return {
-        cone: DirectionResolver(chart, d.fan, {cone: d.bases[cone]})
-        for cone, chart in d.charts.items()
-    }
-
-
 def _check_descent(d: DescentDatum) -> List[Violation]:
     out: List[Violation] = []
     tops = maximal_cones(d.fan)
-    resolvers = _chart_resolvers(d)
+    # one direction resolver per chart, over the bases holding that chart alone
+    resolvers = {
+        cone: DirectionResolver(chart, d.fan, {cone: d.bases[cone]})
+        for cone, chart in d.charts.items()
+    }
     for cone in tops:
         chart = d.charts[cone]
         for violation in (
@@ -297,19 +292,14 @@ def _check_descent(d: DescentDatum) -> List[Violation]:
     return sorted(out, key=violation_sort_key)
 
 
-def _owner(tops, vertex) -> Cone:
-    for cone in tops:
-        if set(vertex) <= set(cone.ray_indices):
-            return cone
-    raise DescentError(f"no maximal cone contains vertex {vertex}")
-
-
 def glue(d: DescentDatum) -> Representation:
     """Assemble the global fan-quiver representation from a valid datum.
 
-    Each vertex is owned by the lexicographically first maximal cone
-    containing it; arrows whose two ends have different owners are routed
-    through the owning charts' delta, and the others keep the chart's maps.
+    Each vertex is owned by the vertex's reference chart (loop_reference).
+    That chart's completion labels are the vertex's loop labels, so every
+    loop is the owning chart's loop map.  Arrows whose two ends have
+    different owners are routed through the owning charts' delta, and the
+    others keep the chart's maps.
     The datum is read-only, so glue reuses the verdict validate_descent
     kept on it (or computes and keeps it).  An invalid datum raises
     DescentError naming its first violation, with the sorted list of its
@@ -321,16 +311,9 @@ def glue(d: DescentDatum) -> Representation:
         raise DescentError(
             f"descent datum is invalid; first violation: {violations[0]}", violations
         )
-    fan = d.fan
-    bases = d.bases
-    quiver = fan_quiver(fan, bases)
-    tops = maximal_cones(fan)
-    dims = {}
-    owners = {}
-    for vtx in quiver.vertices:
-        owner = _owner(tops, vtx)
-        owners[vtx] = owner
-        dims[vtx] = d.charts[owner].dims[vtx]
+    quiver = fan_quiver(d.fan, d.bases)
+    owners = {vtx: loop_reference(d.fan, Cone(vtx)) for vtx in quiver.vertices}
+    dims = {vtx: d.charts[owner].dims[vtx] for vtx, owner in owners.items()}
     u = {}
     v = {}
     for edge in quiver.arrow_pairs:
@@ -343,35 +326,28 @@ def glue(d: DescentDatum) -> Representation:
         else:
             u[edge] = mat_mul(chart.u[edge], d.delta(a, b, low))
             v[edge] = mat_mul(d.delta(b, a, low), chart.v[edge])
-    loops = {}
-    resolvers = _chart_resolvers(d)
-    for vtx in quiver.vertices:
-        owner = owners[vtx]
-        ref = loop_reference(fan, Cone(vtx))
-        for label in quiver.loops[vtx]:
-            if ref == owner:
-                loops[(vtx, label)] = d.charts[owner].loop_maps[(vtx, label)]
-            else:
-                loops[(vtx, label)] = resolvers[owner].expansion(
-                    vtx, bases[owner], bases[ref].column(label)
-                )
+    loops = {
+        (vtx, label): d.charts[owners[vtx]].loop_maps[(vtx, label)]
+        for vtx in quiver.vertices
+        for label in quiver.loops[vtx]
+    }
     return Representation(quiver, dims, u, v, loops)
 
 
 def section(rep: Representation, fan: Fan, bases=None, basis_overrides=None) -> DescentDatum:
     """Restrict a valid fan-quiver representation to every chart, with
     identity deltas.  The representation is read-only, so section reuses
-    the verdict validate_CDelta kept on it for this fan and these bases
-    (or computes and keeps it).  An invalid one raises DescentError
-    naming its first violation, kept verdict or not."""
+    the resolver validate_CDelta kept on it for this fan and these bases
+    (or builds and keeps it), with its verdict and its chart loop
+    operators.  An invalid one raises DescentError naming its first
+    violation, kept verdict or not."""
     if bases is None:
         bases = chart_bases(fan, basis_overrides)
-    violations = cdelta_verdict(rep, fan, bases)
-    if violations:
+    resolver = cdelta_resolver(rep, fan, bases)
+    if resolver.verdict:
         raise DescentError(
-            f"representation is invalid; first violation: {violations[0]}"
+            f"representation is invalid; first violation: {resolver.verdict[0]}"
         )
-    resolver = DirectionResolver(rep, fan, bases)
     tops = maximal_cones(fan)
     charts = {}
     for cone in tops:
@@ -412,14 +388,14 @@ class DescentMorphism:
 
 def glue_morphism(m: DescentMorphism) -> Morphism:
     """Image of a descent morphism under gluing: the owning chart's
-    component at each vertex."""
+    component at each vertex, owned as in glue."""
     glued_source = glue(m.source)
     glued_target = glue(m.target)
-    tops = maximal_cones(m.source.fan)
-    maps = {}
-    for vtx in glued_source.quiver.vertices:
-        owner = _owner(tops, vtx)
-        maps[vtx] = m.charts[owner].maps[vtx]
+    fan = m.source.fan
+    maps = {
+        vtx: m.charts[loop_reference(fan, Cone(vtx))].maps[vtx]
+        for vtx in glued_source.quiver.vertices
+    }
     return Morphism(glued_source, glued_target, maps)
 
 
@@ -443,8 +419,8 @@ def descent_from_json(data: dict) -> DescentDatum:
     check_keys(data, ("fan", "charts", "deltas"), "$")
     try:
         fan, overrides = fan_from_json(data["fan"], '$["fan"]')
-        chart_data = data["charts"]
-        delta_data = data["deltas"]
+        chart_data = parse_object(data["charts"], '$["charts"]')
+        delta_data = parse_object(data["deltas"], '$["deltas"]')
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed descent JSON: {exc}")
     bases = chart_bases(fan, overrides)
@@ -455,7 +431,10 @@ def descent_from_json(data: dict) -> DescentDatum:
         charts[cone] = rep_from_json(rep_data, quiver=quiver, where=f'$["charts"]["{key}"]')
     deltas = {}
     for key, rows in delta_data.items():
-        a_key, b_key, j_key = key.split("|")
+        parts = key.split("|")
+        if len(parts) != 3:
+            raise ValueError(f'delta key $["deltas"]["{key}"] is not of the form K|K\'|J')
+        a_key, b_key, j_key = parts
         deltas[
             (parse_cone_key(a_key), parse_cone_key(b_key), parse_vertex_key(j_key))
         ] = RatMatrix.from_json(rows) if rows else RatMatrix.zeros(0, 0)

@@ -32,6 +32,7 @@ __all__ = [
     "parse_int",
     "parse_ints",
     "check_keys",
+    "parse_object",
     "parse_digits",
     "format_rational",
     "mat_mul",
@@ -95,6 +96,15 @@ def check_keys(obj, allowed, where: str) -> None:
             raise ValueError(
                 f'unknown key {where}["{unknown[0]}"]; allowed keys: {", ".join(allowed)}'
             )
+
+
+def parse_object(value, where: str) -> dict:
+    """A JSON object, returned as is.  Anything else (a list, a string, a
+    number) raises ValueError naming ``where``, its JSON path, instead of
+    failing later on a missing ``.items()``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def parse_digits(text: str, where: str) -> int:

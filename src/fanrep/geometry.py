@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .exactnum import (
@@ -22,6 +23,7 @@ from .exactnum import (
     parse_digits,
     parse_int,
     parse_ints,
+    parse_object,
     rank,
     unimodular_inverse,
 )
@@ -63,7 +65,7 @@ class Ray:
     vector: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
+        object.__setattr__(self, "vector", tuple(index(x) for x in self.vector))
 
     def is_valid(self) -> bool:
         return is_primitive(self.vector)
@@ -86,7 +88,7 @@ class Cone:
     ray_indices: Tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.ray_indices))
+        idx = tuple(sorted(index(i) for i in self.ray_indices))
         if len(set(idx)) != len(idx):
             raise ValueError(f"repeated ray index in cone {idx}")
         object.__setattr__(self, "ray_indices", idx)
@@ -115,7 +117,7 @@ class Fan:
     def __init__(self, dim: int, rays: Iterable, cones: Iterable):
         rays = tuple(r if isinstance(r, Ray) else Ray(tuple(r)) for r in rays)
         cones = frozenset(c if isinstance(c, Cone) else Cone(tuple(c)) for c in cones)
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", index(dim))
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "cones", cones)
 
@@ -353,7 +355,7 @@ def fan_from_json(data: dict, where: str = "$") -> tuple:
         raise ValueError(f"malformed fan JSON: {exc}")
     fan = Fan(dim, rays, cones)
     overrides = {}
-    for key, rows in data.get("bases", {}).items():
+    for key, rows in parse_object(data.get("bases", {}), f'{where}["bases"]').items():
         mat = IntMatrix.from_rows(
             [parse_ints(row, f'bases["{key}"][{i}]') for i, row in enumerate(rows)]
         )

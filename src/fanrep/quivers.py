@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import index
 from typing import Dict, Iterable, Optional, Tuple
 
-from .exactnum import check_keys, parse_digits, parse_ints
+from .exactnum import check_keys, parse_digits, parse_ints, parse_object
 from .geometry import Cone, Fan, chart_bases, loop_reference, subsets
 
 Vertex = Tuple[int, ...]
@@ -35,7 +36,7 @@ __all__ = [
 
 
 def _vertex(v: Iterable[int]) -> Vertex:
-    out = tuple(sorted(int(i) for i in v))
+    out = tuple(sorted(index(i) for i in v))
     if len(set(out)) != len(out):
         raise ValueError(f"repeated index in vertex {out}")
     return out
@@ -73,7 +74,7 @@ class Quiver:
         loops = dict(loops or {})
         norm_loops = {}
         for v in vertices:
-            labels = tuple(int(x) for x in loops.pop(v, ()))
+            labels = tuple(index(x) for x in loops.pop(v, ()))
             if len(set(labels)) != len(labels):
                 raise ValueError(f"repeated loop label at {v}")
             norm_loops[v] = labels
@@ -213,6 +214,6 @@ def quiver_from_json(data: dict, where: str = "$") -> Quiver:
         raise ValueError(f"malformed quiver JSON: {exc}")
     loops = {
         parse_vertex_key(key): parse_ints(labels, f'loops["{key}"]')
-        for key, labels in data.get("loops", {}).items()
+        for key, labels in parse_object(data.get("loops", {}), f'{where}["loops"]').items()
     }
     return Quiver(vertices, pairs, loops)

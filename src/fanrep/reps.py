@@ -13,6 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
@@ -24,6 +25,7 @@ from .exactnum import (
     mat_mul,
     parse_digits,
     parse_int,
+    parse_object,
     solve_nullspace,
 )
 from .geometry import ChartBasis, Cone, Fan, chart_bases, cone_key, loop_reference
@@ -111,13 +113,13 @@ def _pop_map(maps: dict, kind: str, key, rows: int, cols: int) -> RatMatrix:
 class Representation:
     """Immutable representation of a quiver over Q.  dims, u, v and
     loop_maps are read-only mappings, so a validation verdict computed
-    once stays true for the object's lifetime (see cdelta_verdict)."""
+    once stays true for the object's lifetime (see cdelta_resolver)."""
 
     __slots__ = ("quiver", "dims", "u", "v", "loop_maps", "_cdelta")
 
     def __init__(self, quiver: Quiver, dims: Dict[Vertex, int], u=None, v=None, loops=None):
         unknown = set(dims) - set(quiver.vertices)
-        dims = {vtx: int(dims.get(vtx, 0)) for vtx in quiver.vertices}
+        dims = {vtx: index(dims.get(vtx, 0)) for vtx in quiver.vertices}
         if any(d < 0 for d in dims.values()):
             raise ShapeError("negative dimension")
         u = dict(u or {})
@@ -147,7 +149,7 @@ class Representation:
         object.__setattr__(self, "u", MappingProxyType(u_maps))
         object.__setattr__(self, "v", MappingProxyType(v_maps))
         object.__setattr__(self, "loop_maps", MappingProxyType(loop_maps))
-        object.__setattr__(self, "_cdelta", None)  # (fan, bases, verdict) of the last C_Delta check
+        object.__setattr__(self, "_cdelta", None)  # the resolver of the last C_Delta check
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
@@ -345,6 +347,7 @@ class DirectionResolver:
         }
         self._operators = {}
         self._powers = {}
+        self.verdict = None  # the C_Delta violations, once cdelta_resolver has checked
 
     def operator(self, vertex: Vertex, label: int) -> RatMatrix:
         key = (vertex, label)
@@ -405,30 +408,31 @@ def validate_CDelta(
 ) -> List[Violation]:
     """Fan category: (i), (ii), loop coherence, and (iii) the monodromy
     relations between overlapping charts, over overlap_directions(bases).
-    The verdict is computed once per (rep, fan, bases) by cdelta_verdict;
+    The verdict is computed once per (rep, fan, bases) by cdelta_resolver;
     each call returns a fresh list."""
     if bases is None:
         bases = chart_bases(fan)
-    return list(cdelta_verdict(rep, fan, bases))
+    return list(cdelta_resolver(rep, fan, bases).verdict)
 
 
-def cdelta_verdict(rep: Representation, fan: Fan, bases) -> Tuple[Violation, ...]:
-    """The sorted C_Delta violations of rep, kept on rep itself: a repeat
-    check against an equal fan and equal bases returns the stored tuple.
-    Raises ValueError, and stores nothing, if rep is not over the fan
-    quiver."""
+def cdelta_resolver(rep: Representation, fan: Fan, bases) -> DirectionResolver:
+    """The resolver of rep's C_Delta check, kept on rep itself with the
+    sorted violations in its ``verdict``: a repeat check against an equal
+    fan and equal bases returns the kept resolver.  Raises ValueError, and
+    keeps nothing, if rep is not over the fan quiver."""
     memo = rep._cdelta
-    if memo is not None and memo[0] == fan and memo[1] == bases:
-        return memo[2]
-    verdict = tuple(_check_CDelta(rep, fan, bases))
-    object.__setattr__(rep, "_cdelta", (fan, dict(bases), verdict))
-    return verdict
-
-
-def _check_CDelta(rep: Representation, fan: Fan, bases) -> List[Violation]:
+    if memo is not None and memo.fan == fan and memo.bases == bases:
+        return memo
     if rep.quiver != fan_quiver(fan, bases):
         raise ValueError("representation quiver does not match the fan quiver")
-    resolver = DirectionResolver(rep, fan, bases)
+    resolver = DirectionResolver(rep, fan, dict(bases))
+    resolver.verdict = tuple(_check_CDelta(resolver))
+    object.__setattr__(rep, "_cdelta", resolver)
+    return resolver
+
+
+def _check_CDelta(resolver: DirectionResolver) -> List[Violation]:
+    rep, bases = resolver.rep, resolver.bases
     out = check_invertibility(rep) + check_squares(rep) + check_loops(resolver)
     for k, kp, j, labels in overlap_directions(bases):
         for p in labels:
@@ -687,7 +691,7 @@ def rep_from_json(
     try:
         dims = {
             parse_vertex_key(key): parse_int(value, f'dims["{key}"]')
-            for key, value in data["dims"].items()
+            for key, value in parse_object(data["dims"], f'{where}["dims"]').items()
         }
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed representation JSON: {exc}")
@@ -696,7 +700,7 @@ def rep_from_json(
         # an empty list stands for the default map, which Representation fills in
         return {
             parse_key(key): RatMatrix.from_json(rows) if rows else None
-            for key, rows in data.get(name, {}).items()
+            for key, rows in parse_object(data.get(name, {}), f'{where}["{name}"]').items()
         }
 
     u, v = maps("u", parse_edge_key), maps("v", parse_edge_key)

@@ -23,6 +23,13 @@ product per unordered triple.
 a lattice direction on a chart representation that ``fanrep.reps`` had
 before ``DirectionResolver`` became the only builder of direction
 operators; ``DirectionResolver.expansion`` must equal their product.
+
+``glue`` is the gluing functor ``fanrep.descent`` had while the
+lexicographically first maximal cone containing a vertex owned it, and
+loops at a vertex whose reference chart differs from that owner were
+expansions in the owner's chart.  On a pure fan the two owner rules
+agree, and ``fanrep.descent.glue`` must return the same representation;
+elsewhere the two are isomorphic through the deltas.
 """
 
 import itertools
@@ -32,10 +39,11 @@ from typing import List
 from hypothesis import strategies as st
 
 from fanrep.charts import stratum_loop_exponents
+from fanrep.descent import DescentError, validate_descent
 from fanrep.exactnum import IntMatrix, NotInvertibleError, RatMatrix
-from fanrep.geometry import ChartBasis, cone_key, maximal_cones
-from fanrep.quivers import Vertex, subsets, vertex_key
-from fanrep.reps import Representation, Violation, _arrow_maps, monodromy
+from fanrep.geometry import ChartBasis, Cone, cone_key, loop_reference, maximal_cones
+from fanrep.quivers import Vertex, fan_quiver, subsets, vertex_key
+from fanrep.reps import DirectionResolver, Representation, Violation, _arrow_maps, monodromy
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -293,3 +301,59 @@ def exponent_product(
             factor = operator(rep, basis, vertex, label).power(alpha[label])
             result = factor if result is None else mat_mul(result, factor)
     return RatMatrix.identity(rep.dims[vertex]) if result is None else result
+
+
+def lexicographic_owner(tops, vertex) -> Cone:
+    """The lexicographically first of the maximal cones tops containing vertex."""
+    for cone in tops:
+        if set(vertex) <= set(cone.ray_indices):
+            return cone
+    raise DescentError(f"no maximal cone contains vertex {vertex}")
+
+
+def glue(d) -> Representation:
+    """The glued representation of a valid descent datum, each vertex
+    owned by the lexicographically first maximal cone containing it."""
+    violations = validate_descent(d)
+    if violations:
+        raise DescentError(
+            f"descent datum is invalid; first violation: {violations[0]}", violations
+        )
+    fan = d.fan
+    bases = d.bases
+    quiver = fan_quiver(fan, bases)
+    tops = maximal_cones(fan)
+    dims = {}
+    owners = {}
+    for vtx in quiver.vertices:
+        owner = lexicographic_owner(tops, vtx)
+        owners[vtx] = owner
+        dims[vtx] = d.charts[owner].dims[vtx]
+    u = {}
+    v = {}
+    for edge in quiver.arrow_pairs:
+        low, high = edge
+        a = owners[low]
+        b = owners[high]
+        chart = d.charts[b]
+        if a == b:
+            u[edge], v[edge] = chart.u[edge], chart.v[edge]
+        else:
+            u[edge] = mat_mul(chart.u[edge], d.delta(a, b, low))
+            v[edge] = mat_mul(d.delta(b, a, low), chart.v[edge])
+    loops = {}
+    resolvers = {
+        cone: DirectionResolver(chart, d.fan, {cone: d.bases[cone]})
+        for cone, chart in d.charts.items()
+    }
+    for vtx in quiver.vertices:
+        owner = owners[vtx]
+        ref = loop_reference(fan, Cone(vtx))
+        for label in quiver.loops[vtx]:
+            if ref == owner:
+                loops[(vtx, label)] = d.charts[owner].loop_maps[(vtx, label)]
+            else:
+                loops[(vtx, label)] = resolvers[owner].expansion(
+                    vtx, bases[owner], bases[ref].column(label)
+                )
+    return Representation(quiver, dims, u, v, loops)

@@ -230,6 +230,54 @@ def test_unknown_key_is_a_parse_error(tmp_path, capsys, name, path, key, bad, co
     assert f"unknown key {where};" in payload["detail"]
 
 
+MAP_FIELDS = [
+    # (fixture, path to a map-valued field, value put there, command, JSON path in the error)
+    ("descent_p2_ok.json", ("charts",), [], ("descent", "check"), '$["charts"]'),
+    ("descent_p2_ok.json", ("deltas",), "1,2|1,3|1", ("descent", "glue"), '$["deltas"]'),
+    ("descent_p2_ok.json", ("charts", "1,2", "dims"), 3, ("descent", "check"), '$["charts"]["1,2"]["dims"]'),
+    ("descent_p2_ok.json", ("charts", "1,2", "loops"), [], ("descent", "check"), '$["charts"]["1,2"]["loops"]'),
+    ("rep_cn_ok.json", ("dims",), [1, 1], ("rep", "validate"), '$["dims"]'),
+    ("rep_cn_ok.json", ("u",), "u", ("rep", "validate"), '$["u"]'),
+    ("rep_cn_ok.json", ("v",), 0, ("rep", "validate"), '$["v"]'),
+    ("rep_loop2.json", ("loops",), [], ("rep", "hom"), '$["loops"]'),
+    ("rep_loop2.json", ("quiver", "loops"), [[1]], ("rep", "hom"), '$["quiver"]["loops"]'),
+    ("fan_cxcstar_override.json", ("bases",), [[[1, 0], [0, 1]]], ("fan", "dual"), '$["bases"]'),
+]
+
+
+@pytest.mark.parametrize(
+    "name,path,value,command,where", MAP_FIELDS, ids=[case[-1] for case in MAP_FIELDS]
+)
+def test_map_field_that_is_not_an_object_is_a_parse_error(
+    tmp_path, capsys, name, path, value, command, where
+):
+    data = json.loads((FIXTURES / name).read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target = tmp_path / name
+    target.write_text(json.dumps(data))
+    argv = [*command, str(target)]
+    if command == ("rep", "validate"):
+        argv += ["--category", "cn"]
+    elif command == ("rep", "hom"):
+        argv.append(str(target))
+    code, payload = invoke(capsys, *argv)
+    assert (code, payload["error"]) == (2, "parse")
+    assert f"{where} must be a JSON object, got {type(value).__name__}" in payload["detail"]
+
+
+def test_delta_key_must_have_three_parts(tmp_path, capsys):
+    data = json.loads((FIXTURES / "descent_p2_ok.json").read_text())
+    data["deltas"]["1,2|1,3"] = data["deltas"].pop("1,2|1,3|1")
+    target = tmp_path / "descent.json"
+    target.write_text(json.dumps(data))
+    code, payload = invoke(capsys, "descent", "check", str(target))
+    assert (code, payload["error"]) == (2, "parse")
+    assert """delta key $["deltas"]["1,2|1,3"] is not of the form K|K'|J""" in payload["detail"]
+
+
 def test_quiver_build_size_must_be_ascii_digits(capsys):
     code, payload = invoke(capsys, "quiver", "build", "+2", "--family", "hypercube")
     assert (code, payload["error"]) == (2, "parse")

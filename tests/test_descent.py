@@ -7,6 +7,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,7 +28,7 @@ from fanrep.descent import (
     validate_descent,
 )
 from fanrep.exactnum import NotInvertibleError, RatMatrix, mat_mul
-from fanrep.geometry import Cone, Fan, chart_bases, fan_from_json, maximal_cones
+from fanrep.geometry import Cone, Fan, chart_bases, fan_from_json, loop_reference, maximal_cones
 from fanrep.quivers import fan_quiver
 from fanrep.reps import (
     DirectionResolver,
@@ -831,6 +832,155 @@ class TestOneResolver:
         for a, b, j in overlaps(maximal_cones(d.fan)):
             assert back.delta(b, a, j) is back.delta(a, b, j)
             assert back.delta(a, b, j).is_identity()
+
+
+def product_fan(k, e):
+    """(P^1)^k x (C*)^e: rays +-e_i for the k projective factors."""
+    n = k + e
+    rays = [tuple(sign * int(j == i) for j in range(n)) for i in range(k) for sign in (1, -1)]
+    picks = itertools.product(*[(None, 2 * i + 1, 2 * i + 2) for i in range(k)])
+    return Fan(n, rays, [tuple(x for x in pick if x is not None) for pick in picks])
+
+
+def non_pure_fan():
+    """Maximal cones (1,4) and (2,3,5): the lexicographically first maximal
+    cone containing the origin is (1,4), its reference chart is (2,3,5)."""
+    cones = set(Cone((1, 4)).faces()) | set(Cone((2, 3, 5)).faces())
+    return Fan(3, [(-1, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)], cones)
+
+
+EIGENVALUES = [Fraction(x) for x in ("2", "3", "-2", "1/2", "-1/3")]
+# Relation (iii) drops the coordinates on J of a direction's exponents,
+# so on P^2 it holds for a torus character only if the character is
+# trivial; P^2 data are twists of the trivial representation.
+TRIVIAL = [Fraction(1)]
+
+
+def invertible(n, pick):
+    """An n x n invertible matrix: an upper triangular factor with a
+    nonzero diagonal times a unipotent lower triangular one."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    upper = [pick((-2, -1, 1, 2)) if i == j else pick(range(-2, 3)) if i < j else 0 for i, j in cells]
+    lower = [int(i == j) if i <= j else pick(range(-2, 3)) for i, j in cells]
+    return mat_mul(RatMatrix(n, n, upper), RatMatrix(n, n, lower))
+
+
+def twisted_datum(fan, n, pick, eigenvalues=EIGENVALUES):
+    """A valid descent datum of dimension n at every vertex, built as the
+    benchmark builds its descent data.  A torus character chi(m) =
+    P.diag(prod_i lam_ji ** m_i).P^-1 gives commuting operators; chart K
+    carries u = g_high.g_low^-1, v = g_low.(chi(ray) - Id).g_high^-1 and
+    loops g_J.chi(column).g_J^-1 for a random g^K_J at each vertex J, and
+    delta(K, K', J) = g^K'_J.(g^K_J)^-1.  The lam_ji are drawn from
+    eigenvalues.  pick(options) chooses one of options, so a hypothesis
+    draw and a seeded random.Random both serve."""
+    p = invertible(n, pick)
+    p_inv = p.invert()
+    lams = [[pick(eigenvalues) for _ in range(fan.dim)] for _ in range(n)]
+
+    def chi(m):
+        diag = [
+            prod((lam ** k for lam, k in zip(lams[i], m)), start=Fraction(1)) if i == j else 0
+            for i in range(n)
+            for j in range(n)
+        ]
+        return mat_mul(mat_mul(p, RatMatrix(n, n, diag)), p_inv)
+
+    bases = chart_bases(fan)
+    tops = maximal_cones(fan)
+    ident = RatMatrix.identity(n)
+    twists = {}
+    charts = {}
+    for cone in tops:
+        quiver = chart_quiver(fan, bases, cone)
+        g = {vtx: invertible(n, pick) for vtx in quiver.vertices}
+        g_inv = {vtx: mat.invert() for vtx, mat in g.items()}
+        twists[cone] = (g, g_inv)
+        u, v = {}, {}
+        for low, high in quiver.arrow_pairs:
+            (added,) = set(high) - set(low)
+            u[(low, high)] = mat_mul(g[high], g_inv[low])
+            ray_op = chi(fan.ray_vector(added)).sub(ident)
+            v[(low, high)] = mat_mul(mat_mul(g[low], ray_op), g_inv[high])
+        loops = {
+            (vtx, label): mat_mul(mat_mul(g[vtx], chi(bases[cone].column(label))), g_inv[vtx])
+            for vtx in quiver.vertices
+            for label in quiver.loops[vtx]
+        }
+        charts[cone] = Representation(quiver, {vtx: n for vtx in quiver.vertices}, u, v, loops)
+    deltas = {
+        (a, b, j): mat_mul(twists[b][0][j], twists[a][1][j]) for a, b, j in overlaps(tops)
+    }
+    return DescentDatum(fan, charts, deltas, bases=bases)
+
+
+TWISTED_FANS = [
+    (p2_fan(), TRIVIAL),
+    (product_fan(2, 1), EIGENVALUES),
+    (non_pure_fan(), EIGENVALUES),
+]
+
+
+@st.composite
+def twisted_data(draw):
+    """A twisted descent datum over P^2, (P^1)^2 x C* or the non-pure
+    (1,4)/(2,3,5) fan, with dimension 1 or 2 at every vertex."""
+    fan, eigenvalues = draw(st.sampled_from(TWISTED_FANS))
+    n = draw(st.integers(min_value=1, max_value=2))
+    return twisted_datum(fan, n, lambda options: draw(st.sampled_from(list(options))), eigenvalues)
+
+
+@given(twisted_data())
+@settings(max_examples=40, deadline=None)
+def test_glue_owns_each_vertex_by_its_reference_chart(d):
+    assert validate_descent(d) == []
+    glued, lexicographic = glue(d), ref.glue(d)
+    assert validate_CDelta(glued, d.fan, d.bases) == []
+    assert validate_CDelta(lexicographic, d.fan, d.bases) == []
+    tops = maximal_cones(d.fan)
+    if len({len(cone) for cone in tops}) == 1:
+        # a pure fan: both owner rules pick the same chart at every vertex
+        assert glued == lexicographic
+        return
+    # phi_J = delta(lexicographic owner, reference chart, J) is an isomorphism
+    owners = {
+        vtx: (ref.lexicographic_owner(tops, vtx), loop_reference(d.fan, Cone(vtx)))
+        for vtx in glued.quiver.vertices
+    }
+    assert owners[()] == (Cone((1, 4)), Cone((2, 3, 5)))
+    phi = Morphism(lexicographic, glued, {vtx: d.delta(*pair, vtx) for vtx, pair in owners.items()})
+    assert phi.is_valid() and phi.is_invertible()
+
+
+class TestNoResolverBuiltTwice:
+    """glue reads the loops of each vertex's reference chart, and section
+    reads its chart loops from the resolver validate_CDelta kept."""
+
+    def test_glue_and_section_build_no_resolver(self, monkeypatch):
+        d = twisted_datum(product_fan(3, 1), 2, random.Random(7).choice)
+        assert validate_descent(d) == []
+        built, powers = [], []
+        real_init, real_power = DirectionResolver.__init__, RatMatrix.power
+
+        def init(self, rep, fan, bases):
+            built.append(rep)
+            real_init(self, rep, fan, bases)
+
+        def power(self, k):
+            powers.append(k)
+            return real_power(self, k)
+
+        monkeypatch.setattr(DirectionResolver, "__init__", init)
+        monkeypatch.setattr(RatMatrix, "power", power)
+        glued = glue(d)
+        assert built == []
+        assert validate_CDelta(glued, d.fan, d.bases) == []
+        assert built == [glued] and powers
+        built.clear()
+        powers.clear()
+        back = section(glued, d.fan, d.bases)
+        assert built == [] and powers == []
+        assert glue(back) == glued
 
 
 def cxcstar_override():

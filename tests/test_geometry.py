@@ -11,6 +11,7 @@ from fanrep.geometry import (
     Cone,
     Fan,
     FanError,
+    Ray,
     chart_bases,
     chart_basis,
     dual_cone_smooth,
@@ -33,6 +34,17 @@ def p2_fan():
 
 def c_cstar_fan():
     return Fan(2, [(1, 0)], [(), (1,)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Ray((0.5, 1.9)), lambda: Cone((1.7, 2.2)), lambda: Fan(2.9, [], [()])],
+    ids=["Ray", "Cone", "Fan"],
+)
+def test_constructor_rejects_a_float(build):
+    # int() would truncate each of these to a valid-looking integer
+    with pytest.raises(TypeError):
+        build()
 
 
 class TestValidateFan:

@@ -127,6 +127,15 @@ class TestQuiverValidation:
         with pytest.raises(ValueError):
             Quiver([()], [], {(): (1, 1)})
 
+    @pytest.mark.parametrize(
+        "args",
+        [([(), (1.5,)], []), ([(), (1,)], [((), (1.0,))]), ([()], [], {(): (3.5,)})],
+        ids=["vertex", "arrow", "loop-label"],
+    )
+    def test_float_index_is_rejected(self, args):
+        with pytest.raises(TypeError):
+            Quiver(*args)
+
 
 class TestEdgeLookup:
     def test_edge_normalizes_and_rejects_unknown_pairs(self):

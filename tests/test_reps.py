@@ -105,6 +105,10 @@ class TestShapeChecks:
         with pytest.raises(ShapeError, match=r"dims given for unknown vertices \[\(5,\)\]"):
             Representation(hypercube_quiver(1), {(): 1, (5,): 2})
 
+    def test_float_dimension_is_rejected(self):
+        with pytest.raises(TypeError):
+            Representation(hypercube_quiver(1), {(): 1.9})
+
 
 class TestValidateCn:
     def test_zero_maps_ok(self):
