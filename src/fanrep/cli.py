@@ -222,8 +222,15 @@ def cmd_rep_iso(path_a: str, path_b: str, seed: int, max_attempts: int) -> Comma
     return CommandResult("ok", payload)
 
 
-def cmd_descent_check(path: str) -> CommandResult:
+def _load_descent(path: str):
+    """The descent datum in path, over a fan that passes validate_fan."""
     datum = _load(path, descent_from_json, DescentError)
+    validate_fan(datum.fan)
+    return datum
+
+
+def cmd_descent_check(path: str) -> CommandResult:
+    datum = _load_descent(path)
     violations = validate_descent(datum)
     if violations:
         return CommandResult("violation", _violations_payload(violations))
@@ -231,7 +238,7 @@ def cmd_descent_check(path: str) -> CommandResult:
 
 
 def cmd_descent_glue(path: str) -> CommandResult:
-    datum = _load(path, descent_from_json, DescentError)
+    datum = _load_descent(path)
     try:
         glued = glue(datum)
     except DescentError as exc:

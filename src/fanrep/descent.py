@@ -40,7 +40,7 @@ from .reps import (
     check_loops,
     check_squares,
     edge_key,
-    overlap_directions,
+    overlap_operators,
     rep_from_json,
     rep_to_json,
     violation_sort_key,
@@ -89,13 +89,13 @@ class DescentDatum:
 
     Deltas map the first chart's space into the second's:
     delta(K, K', J): E^K_J -> E^K'_J.  Only one direction per pair needs
-    to be supplied; the reverse is the exact inverse.  Both directions are
-    kept, so delta() never inverts.  delta(K, K, J) is the identity.
-    charts and bases are read-only mappings, and the datum keeps its
-    validate_descent verdict once computed.
+    to be supplied; the reverse is the exact inverse.  One table holds
+    both directions, so delta() never inverts.  delta(K, K, J) is the
+    identity.  charts and bases are read-only mappings, and the datum
+    keeps its validate_descent verdict once computed.
     """
 
-    __slots__ = ("fan", "bases", "basis_overrides", "charts", "_deltas", "_inverses", "_verdict")
+    __slots__ = ("fan", "bases", "basis_overrides", "charts", "_deltas", "_verdict")
 
     def __init__(self, fan: Fan, charts: Dict[Cone, Representation], deltas, bases=None, basis_overrides=None):
         if bases is None:
@@ -118,8 +118,7 @@ class DescentDatum:
             raise DescentError(f"charts given for non-maximal cones {sorted(extra)}")
         object.__setattr__(self, "charts", MappingProxyType(charts))
 
-        stored = {}
-        inverses = {}
+        given = {}
         for (k, kp, j), mat in dict(deltas).items():
             k = k if isinstance(k, Cone) else Cone(tuple(k))
             kp = kp if isinstance(kp, Cone) else Cone(tuple(kp))
@@ -131,33 +130,28 @@ class DescentDatum:
                     f"delta {_delta_key(k, kp, j)} does not lie on the overlap of two "
                     "maximal cones"
                 )
-            forward = k.ray_indices < kp.ray_indices
-            key = (k, kp, j) if forward else (kp, k, j)
-            if forward:
-                mat_fwd = mat
-            else:
-                mat_fwd = _exact_inverse(mat, k, kp, j)
-                inverses[key] = mat
-            if key in stored and stored[key] != mat_fwd:
+            given.setdefault((k, kp, j), []).append(mat)
+        table = {}
+        for key in overlaps(tops):
+            a, b, j = key
+            back = (b, a, j)
+            mats = given.get(key, []) + [_exact_inverse(m, *back) for m in given.get(back, [])]
+            if not mats:
+                raise DescentError(f"missing delta for {_delta_key(*key)}")
+            mat = mats[0]
+            if any(m != mat for m in mats):
                 raise DescentError(
                     f"deltas for {_delta_key(*key)} disagree with the inverse-pair invariant"
                 )
-            stored[key] = mat_fwd
-        for key in overlaps(tops):
-            a, b, j = key
-            if key not in stored:
-                raise DescentError(f"missing delta for {_delta_key(*key)}")
-            mat = stored[key]
             want = (self.charts[b].dims[j], self.charts[a].dims[j])
             if mat.shape != want:
                 raise DescentError(
                     f"delta {_delta_key(*key)} must be {want[0]}x{want[1]}, "
                     f"got {mat.rows}x{mat.cols}"
                 )
-            if key not in inverses:
-                inverses[key] = _exact_inverse(mat, *key)
-        object.__setattr__(self, "_deltas", stored)
-        object.__setattr__(self, "_inverses", inverses)
+            table[key] = mat
+            table[back] = given[back][0] if back in given else _exact_inverse(mat, *key)
+        object.__setattr__(self, "_deltas", table)
         object.__setattr__(self, "_verdict", None)
 
     def __setattr__(self, name, value):
@@ -167,12 +161,11 @@ class DescentDatum:
         j = tuple(sorted(j))
         if k == kp:
             return RatMatrix.identity(self.charts[k].dims[j])
-        if k.ray_indices < kp.ray_indices:
-            return self._deltas[(k, kp, j)]
-        return self._inverses[(kp, k, j)]
+        return self._deltas[(k, kp, j)]
 
     def stored_deltas(self) -> Dict[Tuple[Cone, Cone, Vertex], RatMatrix]:
-        return dict(self._deltas)
+        """The deltas (K, K', J) with K < K', as descent JSON writes them."""
+        return {key: mat for key, mat in self._deltas.items() if key[0] < key[1]}
 
     def __eq__(self, other) -> bool:
         return (
@@ -221,9 +214,9 @@ def _check_descent(d: DescentDatum) -> List[Violation]:
         for cone, chart in d.charts.items()
     }
     for cone in tops:
-        chart = d.charts[cone]
+        resolver = resolvers[cone]
         for violation in (
-            check_invertibility(chart) + check_squares(chart) + check_loops(resolvers[cone])
+            check_invertibility(resolver) + check_squares(resolver.rep) + check_loops(resolver)
         ):
             out.append(
                 Violation(
@@ -233,11 +226,10 @@ def _check_descent(d: DescentDatum) -> List[Violation]:
                 )
             )
 
-    for a, b, top in overlaps(tops):
-        if set(top) != set(a.ray_indices) & set(b.ray_indices):
-            continue  # one pass per pair, over the edges of its whole overlap
+    # one pass per chart pair, over the edges of its whole overlap
+    for a, b in itertools.combinations(tops, 2):
         ca, cb = d.charts[a], d.charts[b]
-        for edge in cube_quiver(top).arrow_pairs:
+        for edge in cube_quiver(sorted(set(a.ray_indices) & set(b.ray_indices))).arrow_pairs:
             j, jp = edge
             dj = d.delta(a, b, j)
             checks = (
@@ -255,23 +247,17 @@ def _check_descent(d: DescentDatum) -> List[Violation]:
                 if lhs != rhs
             ]
 
-    for a, b, j, labels in overlap_directions(d.bases):
+    for a, b, j, p, op, product in overlap_operators(d.bases, resolvers):
+        # dj^-1 . op_b . dj == the chart-a product, multiplied through by dj
         dj = d.delta(a, b, j)
-        for p in labels:
-            # dj^-1 . op_b . dj == the chart-a expansion, multiplied through by dj
-            try:
-                lhs = mat_mul(resolvers[b].operator(j, p), dj)
-                rhs = mat_mul(dj, resolvers[a].expansion(j, d.bases[a], resolvers[b].vectors[p]))
-            except NotInvertibleError:
-                continue  # the chart validity section already reports this
-            if lhs != rhs:
-                out.append(
-                    Violation(
-                        "transport",
-                        (cone_key(a), cone_key(b), vertex_key(j), p),
-                        "conjugated monodromy does not match the exponent product",
-                    )
+        if mat_mul(op, dj) != mat_mul(dj, product):
+            out.append(
+                Violation(
+                    "transport",
+                    (cone_key(a), cone_key(b), vertex_key(j), p),
+                    "conjugated monodromy does not match the exponent product",
                 )
+            )
 
     # the deltas are exact inverse pairs, so the six orders of a triple
     # hold or fail together: one product per unordered triple, and a
@@ -424,9 +410,12 @@ def descent_from_json(data: dict) -> DescentDatum:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed descent JSON: {exc}")
     bases = chart_bases(fan, overrides)
+    tops = maximal_cones(fan)
     charts = {}
     for key, rep_data in chart_data.items():
         cone = parse_cone_key(key)
+        if cone not in tops:
+            raise DescentError(f'chart key $["charts"]["{key}"] is not a maximal cone of the fan')
         quiver = chart_quiver(fan, bases, cone)
         charts[cone] = rep_from_json(rep_data, quiver=quiver, where=f'$["charts"]["{key}"]')
     deltas = {}
@@ -437,5 +426,5 @@ def descent_from_json(data: dict) -> DescentDatum:
         a_key, b_key, j_key = parts
         deltas[
             (parse_cone_key(a_key), parse_cone_key(b_key), parse_vertex_key(j_key))
-        ] = RatMatrix.from_json(rows) if rows else RatMatrix.zeros(0, 0)
+        ] = RatMatrix.from_json(rows, f'$["deltas"]["{key}"]')
     return DescentDatum(fan, charts, deltas, bases=bases, basis_overrides=overrides)

@@ -364,14 +364,15 @@ class RatMatrix(_Matrix):
         return [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
 
     @classmethod
-    def from_json(cls, data: Sequence[Sequence[str]], rows: int = None, cols: int = None) -> "RatMatrix":
-        r = len(data)
-        c = len(data[0]) if r else (cols if cols is not None else 0)
-        if rows is not None and r != rows:
-            raise ValueError(f"expected {rows} rows, got {r}")
-        if cols is not None and c != cols:
-            raise ValueError(f"expected {cols} cols, got {c}")
-        return cls(r, c, [parse_rational(x) for row in data for x in row])
+    def from_json(cls, data: Sequence[Sequence[str]], where: str) -> "RatMatrix":
+        """The matrix written at JSON path ``where`` as a list of
+        equal-length lists of rational strings ([] is 0 x 0).  Any other
+        shape raises ValueError naming ``where``."""
+        shaped = isinstance(data, list) and all(isinstance(row, list) for row in data)
+        cols = len(data[0]) if shaped and data else 0
+        if not shaped or any(len(row) != cols for row in data):
+            raise ValueError(f"{where} must be a list of equal-length lists of rational strings")
+        return cls(len(data), cols, [parse_rational(x) for row in data for x in row])
 
     @staticmethod
     def block_diag(a: "RatMatrix", b: "RatMatrix") -> "RatMatrix":

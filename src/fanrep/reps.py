@@ -52,7 +52,7 @@ __all__ = [
     "validate_Cn",
     "validate_CSigma",
     "validate_CDelta",
-    "overlap_directions",
+    "overlap_operators",
     "hom_basis",
     "are_isomorphic",
     "direct_sum",
@@ -183,10 +183,14 @@ def monodromy(rep: Representation, edge, end: str = "low") -> RatMatrix:
     raise ValueError("end must be 'low' or 'high'")
 
 
-def check_invertibility(rep: Representation) -> List[Violation]:
+def check_invertibility(resolver: DirectionResolver) -> List[Violation]:
+    """Condition (i): each arrow monodromy v.u + Id, read from the
+    resolver so later lookups reuse it, is invertible."""
     out = []
-    for edge in rep.quiver.arrow_pairs:
-        if not monodromy(rep, edge, "low").is_invertible():
+    for edge in resolver.rep.quiver.arrow_pairs:
+        low, high = edge
+        (label,) = set(high).difference(low)
+        if not resolver.operator(low, label).is_invertible():
             out.append(
                 Violation(
                     "i",
@@ -302,7 +306,8 @@ def validate_Cn(rep: Representation) -> List[Violation]:
     n = len(ground)
     if rep.quiver != hypercube_quiver(n):
         raise ValueError("representation is not over a hypercube quiver")
-    return sorted(check_invertibility(rep) + check_squares(rep), key=violation_sort_key)
+    resolver = DirectionResolver(rep, None, {})
+    return sorted(check_invertibility(resolver) + check_squares(rep), key=violation_sort_key)
 
 
 def validate_CSigma(rep: Representation) -> List[Violation]:
@@ -312,8 +317,9 @@ def validate_CSigma(rep: Representation) -> List[Violation]:
     n = len(singles)
     if rep.quiver != arrangement_quiver(n):
         raise ValueError("representation is not over an arrangement quiver")
-    out = check_invertibility(rep) + check_squares(rep)
-    monos = {i: monodromy(rep, ((), (i,)), "low") for i in range(1, n + 1)}
+    resolver = DirectionResolver(rep, None, {})
+    out = check_invertibility(resolver) + check_squares(rep)
+    monos = {i: resolver.operator((), i) for i in range(1, n + 1)}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if mat_mul(monos[i], monos[j]) != mat_mul(monos[j], monos[i]):
             out.append(
@@ -334,8 +340,9 @@ class DirectionResolver:
     rep's quiver, then the loop map with that label, then the expansion
     of the direction vector in the vertex's reference chart.  On a chart
     representation every label of the chart's basis resolves as an arrow
-    or a loop.  Each operator, and each integer power of one, is built
-    once per resolver.
+    or a loop.  C_n and C_Sigma build a chart-less resolver and ask it for
+    arrows only, never reaching the expansion.  Each operator, and each
+    integer power of one, is built once per resolver.
     """
 
     def __init__(self, rep: Representation, fan: Fan, bases):
@@ -388,26 +395,33 @@ class DirectionResolver:
         return RatMatrix.identity(self.rep.dims[vertex]) if result is None else result
 
 
-def overlap_directions(bases: Dict[Cone, ChartBasis]):
-    """The index set of relation (iii), as (K, K', J, labels) once per
-    ordered pair of distinct maximal cones (K, K') and vertex J of their
-    overlap; labels are the chart-K' basis directions p outside the
-    overlap.  The operator of p at J must equal the product of chart-K
-    operators with the exponents of p's vector in chart K (coordinates on
-    J are dropped; they die on the stratum)."""
+def overlap_operators(bases: Dict[Cone, ChartBasis], resolvers):
+    """Both sides of relation (iii), as (K, K', J, p, op, product) for each
+    ordered pair of distinct maximal cones (K, K'), vertex J of their
+    overlap and chart-K' direction p outside it: op is p's operator at J
+    from resolvers[K'], product the chart-K exponent product of p's vector
+    at J from resolvers[K] (coordinates on J die on the stratum).  A
+    direction with a singular side is skipped: condition (i) or the loop
+    checks report it."""
     tops = sorted(bases, key=lambda c: c.ray_indices)
     for k, kp in itertools.permutations(tops, 2):
         overlap = tuple(sorted(set(k.ray_indices) & set(kp.ray_indices)))
         labels = [p for p in bases[kp].labels if p not in overlap]
         for j in subsets(overlap):
-            yield k, kp, j, labels
+            for p in labels:
+                try:
+                    op = resolvers[kp].operator(j, p)
+                    product = resolvers[k].expansion(j, bases[k], resolvers[kp].vectors[p])
+                except NotInvertibleError:
+                    continue
+                yield k, kp, j, p, op, product
 
 
 def validate_CDelta(
     rep: Representation, fan: Fan, bases=None
 ) -> List[Violation]:
     """Fan category: (i), (ii), loop coherence, and (iii) the monodromy
-    relations between overlapping charts, over overlap_directions(bases).
+    relations between overlapping charts, over overlap_operators.
     The verdict is computed once per (rep, fan, bases) by cdelta_resolver;
     each call returns a fresh list."""
     if bases is None:
@@ -433,22 +447,16 @@ def cdelta_resolver(rep: Representation, fan: Fan, bases) -> DirectionResolver:
 
 def _check_CDelta(resolver: DirectionResolver) -> List[Violation]:
     rep, bases = resolver.rep, resolver.bases
-    out = check_invertibility(rep) + check_squares(rep) + check_loops(resolver)
-    for k, kp, j, labels in overlap_directions(bases):
-        for p in labels:
-            try:
-                lhs = resolver.operator(j, p)
-                rhs = resolver.expansion(j, bases[k], resolver.vectors[p])
-            except NotInvertibleError:
-                continue  # already reported by condition (i) or the loop checks
-            if lhs != rhs:
-                out.append(
-                    Violation(
-                        "iii",
-                        (cone_key(k), cone_key(kp), vertex_key(j), p),
-                        _diff_detail(lhs, rhs),
-                    )
+    out = check_invertibility(resolver) + check_squares(rep) + check_loops(resolver)
+    for k, kp, j, p, lhs, rhs in overlap_operators(bases, dict.fromkeys(bases, resolver)):
+        if lhs != rhs:
+            out.append(
+                Violation(
+                    "iii",
+                    (cone_key(k), cone_key(kp), vertex_key(j), p),
+                    _diff_detail(lhs, rhs),
                 )
+            )
     return sorted(out, key=violation_sort_key)
 
 
@@ -698,9 +706,10 @@ def rep_from_json(
 
     def maps(name, parse_key):
         # an empty list stands for the default map, which Representation fills in
+        at = f'{where}["{name}"]'
         return {
-            parse_key(key): RatMatrix.from_json(rows) if rows else None
-            for key, rows in parse_object(data.get(name, {}), f'{where}["{name}"]').items()
+            parse_key(key): None if rows == [] else RatMatrix.from_json(rows, f'{at}["{key}"]')
+            for key, rows in parse_object(data.get(name, {}), at).items()
         }
 
     u, v = maps("u", parse_edge_key), maps("v", parse_edge_key)

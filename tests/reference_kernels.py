@@ -30,11 +30,16 @@ loops at a vertex whose reference chart differs from that owner were
 expansions in the owner's chart.  On a pure fan the two owner rules
 agree, and ``fanrep.descent.glue`` must return the same representation;
 elsewhere the two are isomorphic through the deltas.
+
+``overlap_directions`` with ``iii_violations`` and ``transport_violations``
+are the relation (iii) loop of ``fanrep.reps`` and the transport loop of
+``fanrep.descent`` as each resolved both sides and skipped a singular
+direction itself, before the two shared one operator stream.
 """
 
 import itertools
 from fractions import Fraction
-from typing import List
+from typing import Dict, List
 
 from hypothesis import strategies as st
 
@@ -357,3 +362,67 @@ def glue(d) -> Representation:
                     vtx, bases[owner], bases[ref].column(label)
                 )
     return Representation(quiver, dims, u, v, loops)
+
+
+def overlap_directions(bases: Dict[Cone, ChartBasis]):
+    """The index set of relation (iii), as (K, K', J, labels) once per
+    ordered pair of distinct maximal cones (K, K') and vertex J of their
+    overlap; labels are the chart-K' basis directions p outside the
+    overlap.  The operator of p at J must equal the product of chart-K
+    operators with the exponents of p's vector in chart K (coordinates on
+    J are dropped; they die on the stratum)."""
+    tops = sorted(bases, key=lambda c: c.ray_indices)
+    for k, kp in itertools.permutations(tops, 2):
+        overlap = tuple(sorted(set(k.ray_indices) & set(kp.ray_indices)))
+        labels = [p for p in bases[kp].labels if p not in overlap]
+        for j in subsets(overlap):
+            yield k, kp, j, labels
+
+
+def iii_violations(rep: Representation, fan, bases) -> List[Violation]:
+    """The relation (iii) violations of a fan-quiver representation."""
+    resolver = DirectionResolver(rep, fan, dict(bases))
+    out = []
+    for k, kp, j, labels in overlap_directions(bases):
+        for p in labels:
+            try:
+                lhs = resolver.operator(j, p)
+                rhs = resolver.expansion(j, bases[k], resolver.vectors[p])
+            except NotInvertibleError:
+                continue  # already reported by condition (i) or the loop checks
+            if lhs != rhs:
+                out.append(
+                    Violation(
+                        "iii",
+                        (cone_key(k), cone_key(kp), vertex_key(j), p),
+                        f"difference {lhs.sub(rhs)!r}",
+                    )
+                )
+    return out
+
+
+def transport_violations(d) -> List[Violation]:
+    """The monodromy transport violations of a descent datum."""
+    resolvers = {
+        cone: DirectionResolver(chart, d.fan, {cone: d.bases[cone]})
+        for cone, chart in d.charts.items()
+    }
+    out = []
+    for a, b, j, labels in overlap_directions(d.bases):
+        dj = d.delta(a, b, j)
+        for p in labels:
+            # dj^-1 . op_b . dj == the chart-a expansion, multiplied through by dj
+            try:
+                lhs = mat_mul(resolvers[b].operator(j, p), dj)
+                rhs = mat_mul(dj, resolvers[a].expansion(j, d.bases[a], resolvers[b].vectors[p]))
+            except NotInvertibleError:
+                continue  # the chart validity section already reports this
+            if lhs != rhs:
+                out.append(
+                    Violation(
+                        "transport",
+                        (cone_key(a), cone_key(b), vertex_key(j), p),
+                        "conjugated monodromy does not match the exponent product",
+                    )
+                )
+    return out

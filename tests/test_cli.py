@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from fanrep.descent import descent_from_json, descent_to_json
 from fanrep.geometry import fan_from_json, fan_to_json
 from fanrep.quivers import quiver_from_json, quiver_to_json
 from fanrep.reps import rep_from_json, rep_to_json
+from test_cli_golden import commands
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -268,6 +270,69 @@ def test_map_field_that_is_not_an_object_is_a_parse_error(
     assert f"{where} must be a JSON object, got {type(value).__name__}" in payload["detail"]
 
 
+MATRIX_SHAPES = [
+    # (fixture, path to a matrix-valued field, value put there, command, JSON path in the error)
+    ("rep_cn_ok.json", ("u", "-1"), {"a": 1}, ("rep", "validate"), '$["u"]["-1"]'),
+    ("rep_cn_ok.json", ("v", "-2"), "12", ("rep", "validate"), '$["v"]["-2"]'),
+    ("rep_cn_ok.json", ("u", "1-1,2"), ["12"], ("rep", "validate"), '$["u"]["1-1,2"]'),
+    ("rep_cn_ok.json", ("v", "2-1,2"), [["1"], ["2", "3"]], ("rep", "validate"), '$["v"]["2-1,2"]'),
+    ("rep_loop2.json", ("loops", ":1"), {"a": 1}, ("rep", "hom"), '$["loops"][":1"]'),
+    ("descent_p1_ok.json", ("deltas", "1|2|"), "1", ("descent", "check"), '$["deltas"]["1|2|"]'),
+    ("descent_p1_ok.json", ("deltas", "1|2|"), ["1"], ("descent", "glue"), '$["deltas"]["1|2|"]'),
+    ("descent_p2_ok.json", ("deltas", "1,2|1,3|1"), {"a": 1}, ("descent", "check"), '$["deltas"]["1,2|1,3|1"]'),
+    ("descent_p2_ok.json", ("charts", "1,2", "u", "-1"), 1, ("descent", "check"), '$["charts"]["1,2"]["u"]["-1"]'),
+]
+
+
+@pytest.mark.parametrize(
+    "name,path,value,command,where", MATRIX_SHAPES, ids=[case[-1] for case in MATRIX_SHAPES]
+)
+def test_matrix_that_is_not_a_list_of_rows_is_a_parse_error(
+    tmp_path, capsys, name, path, value, command, where
+):
+    data = json.loads((FIXTURES / name).read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target = tmp_path / name
+    target.write_text(json.dumps(data))
+    argv = [*command, str(target)]
+    if command == ("rep", "validate"):
+        argv += ["--category", "cn"]
+    elif command == ("rep", "hom"):
+        argv.append(str(target))
+    code, payload = invoke(capsys, *argv)
+    assert (code, payload["error"]) == (2, "parse")
+    assert f"{where} must be a list of equal-length lists of rational strings" in payload["detail"]
+
+
+@pytest.mark.parametrize("command", ["check", "glue"])
+@pytest.mark.parametrize("key", ["0", "1,3"])
+def test_chart_key_must_be_a_maximal_cone(tmp_path, capsys, command, key):
+    data = json.loads((FIXTURES / "descent_p2_ok.json").read_text())
+    if key == "1,3":
+        data["fan"]["cones"].remove([1, 3])  # (1,3) is no longer a cone
+    else:
+        data["charts"][key] = data["charts"].pop("1,3")
+    target = tmp_path / "descent.json"
+    target.write_text(json.dumps(data))
+    code, payload = invoke(capsys, "descent", command, str(target))
+    assert (code, payload["error"]) == (2, "descent-structure")
+    assert payload["detail"] == f'chart key $["charts"]["{key}"] is not a maximal cone of the fan'
+
+
+@pytest.mark.parametrize("command", ["check", "glue"])
+def test_descent_fan_is_validated(tmp_path, capsys, command):
+    data = json.loads((FIXTURES / "descent_p2_ok.json").read_text())
+    data["fan"]["cones"].remove([])
+    target = tmp_path / "descent.json"
+    target.write_text(json.dumps(data))
+    code, payload = invoke(capsys, "descent", command, str(target))
+    assert (code, payload["error"]) == (2, "fan")
+    assert payload["detail"].startswith("face-closure:")
+
+
 def test_delta_key_must_have_three_parts(tmp_path, capsys):
     data = json.loads((FIXTURES / "descent_p2_ok.json").read_text())
     data["deltas"]["1,2|1,3"] = data["deltas"].pop("1,2|1,3|1")
@@ -367,3 +432,42 @@ def test_command_result_roundtrip(capsys):
     code = main(["fan", "validate", fx("fan_p2.json")])
     out = capsys.readouterr().out
     assert canonical(json.loads(out)) == out
+
+
+def matrix_and_map_paths(node, path=()):
+    """Paths of the map-valued fields (objects) and matrix-valued fields
+    (lists of lists, or []) below a JSON node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(value, dict) or (
+            isinstance(value, list) and all(isinstance(row, list) for row in value)
+        ):
+            yield path + (key,)
+        yield from matrix_and_map_paths(value, path + (key,))
+
+
+def test_single_field_mutations_never_crash(tmp_path, monkeypatch):
+    """Each fixture with one map or matrix field replaced by an object, a
+    string, a number or a list of strings, through the fixture's golden
+    commands: every run ends in exit 0, 1 or 2, never an exception."""
+    monkeypatch.chdir(FIXTURES)
+    runs = []
+    for name in sorted({arg for argv in commands() for arg in argv if arg.endswith(".json")}):
+        if name == "malformed.json":
+            continue
+        data = json.loads((FIXTURES / name).read_text())
+        argvs = [argv for argv in commands() if name in argv]
+        for path in matrix_and_map_paths(data):
+            for value in ({"a": 1}, "12", 1, ["1"]):
+                runs += [(name, data, path, value, argv) for argv in argvs]
+    rng = random.Random(0)
+    for name, data, path, value, argv in rng.sample(runs, 600):
+        mutated = json.loads(json.dumps(data))
+        node = mutated
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        target = tmp_path / name
+        target.write_text(json.dumps(mutated))
+        result = run([str(target) if arg == name else arg for arg in argv])
+        assert result.exit_code in (0, 1, 2), (name, path, value, argv)

@@ -34,6 +34,7 @@ from fanrep.reps import (
     DirectionResolver,
     Morphism,
     Representation,
+    Violation,
     hom_basis,
     rep_to_json,
     validate_CDelta,
@@ -806,13 +807,13 @@ class TestOneResolver:
         d = p2_ok_datum()
         assert validate_descent(d) == []
         assert powers and max(powers.values()) == 1
-        assert max(monos.values()) == 2  # condition (i), then the chart's resolver
+        assert max(monos.values()) == 1  # condition (i) reads the chart's resolver
         glued = glue(d)
         powers.clear()
         monos.clear()
         assert validate_CDelta(glued, d.fan, d.bases) == []
         assert powers and max(powers.values()) == 1
-        assert max(monos.values()) == 2
+        assert max(monos.values()) == 1
 
     def test_section_inverts_no_identity_delta(self, monkeypatch):
         d = p2_ok_datum()
@@ -1046,3 +1047,131 @@ def test_resolver_expansion_matches_the_reference(case):
     for _ in range(2):
         got = [outcome(lambda: resolver.expansion(vertex, basis, vector)) for vector in vectors]
         assert got == want
+
+
+def perturb(rep, pick, count):
+    """rep, of dimension n at every vertex, with count of its maps
+    replaced: an arrow whose monodromy v.u + Id is zero, a zero loop, or
+    a random u, v or loop map with entries -2..2."""
+    n = rep.dims[()]
+    maps = {"u": dict(rep.u), "v": dict(rep.v), "loops": dict(rep.loop_maps)}
+    for _ in range(count):
+        kind = pick(["singular arrow", "zero loop", "u", "v", "loops"])
+        if kind in ("zero loop", "loops") and not maps["loops"]:
+            kind = "singular arrow"
+        if kind == "singular arrow":
+            edge = pick(rep.quiver.arrow_pairs)
+            maps["u"][edge] = RatMatrix.identity(n)
+            maps["v"][edge] = RatMatrix.identity(n).scale(-1)
+        elif kind == "zero loop":
+            maps["loops"][pick(sorted(maps["loops"]))] = RatMatrix.zeros(n, n)
+        else:
+            key = pick(sorted(maps[kind]))
+            maps[kind][key] = RatMatrix(n, n, [pick(range(-2, 3)) for _ in range(n * n)])
+    return Representation(rep.quiver, dict(rep.dims), maps["u"], maps["v"], maps["loops"])
+
+
+@st.composite
+def perturbed_data(draw):
+    """A twisted descent datum with up to two maps of one chart replaced,
+    and its glued representation with up to two maps replaced (see
+    perturb), so that singular operators reach both checks."""
+    d = draw(twisted_data())
+    pick = lambda options: draw(st.sampled_from(list(options)))
+    glued = perturb(glue(d), pick, draw(st.integers(min_value=0, max_value=2)))
+    charts = dict(d.charts)
+    cone = pick(maximal_cones(d.fan))
+    charts[cone] = perturb(charts[cone], pick, draw(st.integers(min_value=0, max_value=2)))
+    return DescentDatum(d.fan, charts, d.stored_deltas(), bases=d.bases), glued
+
+
+@given(perturbed_data())
+@settings(max_examples=60, deadline=None)
+def test_iii_and_transport_match_the_reference_walks(case):
+    d, glued = case
+
+    def rows(violations, condition):
+        return sorted(
+            ((v.condition, v.location, v.detail) for v in violations if v.condition == condition),
+            key=lambda row: violation_sort_key(Violation(*row)),
+        )
+
+    got = validate_CDelta(glued, d.fan, d.bases)
+    assert rows(got, "iii") == rows(ref.iii_violations(glued, d.fan, d.bases), "iii")
+    got = validate_descent(d)
+    assert rows(got, "transport") == rows(ref.transport_violations(d), "transport")
+
+
+@st.composite
+def delta_tables(draw):
+    """Zero-map charts of dimension n over P^2 or (P^1)^2 and the deltas of
+    an invertible table, each key given forward only, reverse only or both
+    ways.  Sometimes one key carries one planted error instead: a singular
+    delta given one way, a disagreeing pair, no delta, or a delta of the
+    wrong shape.  Returns (datum arguments, the forward table, the error
+    message or None)."""
+    fan = draw(st.sampled_from([p2_fan(), p1xp1_fan()]))
+    n = draw(st.integers(min_value=1, max_value=2))
+    pick = lambda options: draw(st.sampled_from(list(options)))
+    bases = chart_bases(fan)
+    tops = maximal_cones(fan)
+    charts = {}
+    for cone in tops:
+        quiver = chart_quiver(fan, bases, cone)
+        charts[cone] = Representation(quiver, {vtx: n for vtx in quiver.vertices})
+    forward = {key: invertible(n, pick) for key in overlaps(tops)}
+    deltas = {}
+    for (a, b, j), mat in forward.items():
+        ways = pick(["forward", "reverse", "both"])
+        if ways != "reverse":
+            deltas[(a, b, j)] = mat
+        if ways != "forward":
+            deltas[(b, a, j)] = ref.invert(mat)
+    error = pick([None, "singular", "disagreeing", "missing", "shape"])
+    a, b, j = bad = pick(list(forward))
+    back = (b, a, j)
+    name = descent._delta_key(*bad)
+    message = None
+    if error is not None:
+        deltas.pop(bad, None)
+        deltas.pop(back, None)
+    if error == "singular":
+        written = pick([bad, back])
+        deltas[written] = RatMatrix.zeros(n, n)
+        message = f"delta for {descent._delta_key(*written)} is singular"
+    elif error == "disagreeing":
+        deltas[bad] = forward[bad]
+        deltas[back] = ref.invert(forward[bad]).scale(2)
+        message = f"deltas for {name} disagree with the inverse-pair invariant"
+    elif error == "missing":
+        message = f"missing delta for {name}"
+    elif error == "shape":
+        deltas[bad] = RatMatrix.zeros(n + 1, n)
+        message = f"delta {name} must be {n}x{n}, got {n + 1}x{n}"
+    return (fan, charts, deltas, bases), forward, message
+
+
+@given(delta_tables())
+@settings(max_examples=80, deadline=None)
+def test_delta_table_holds_each_given_matrix_and_its_inverse(case):
+    (fan, charts, deltas, bases), forward, message = case
+    if message is not None:
+        with pytest.raises(DescentError) as info:
+            DescentDatum(fan, charts, deltas, bases=bases)
+        assert str(info.value) == message
+        return
+    d = DescentDatum(fan, charts, deltas, bases=bases)
+    for (k, kp, j), mat in deltas.items():
+        assert d.delta(k, kp, j) == mat
+        assert d.delta(kp, k, j) == ref.invert(mat)
+    assert d.stored_deltas() == forward
+
+
+def test_a_key_given_twice_must_agree():
+    d = p1_datum(2, Fraction(1, 2))
+    k1, k2 = Cone((1,)), Cone((2,))
+    twice = {(k1, k2, ()): scalar(2), ((1,), (2,), ()): scalar(2)}
+    assert DescentDatum(d.fan, d.charts, twice, bases=d.bases).delta(k2, k1, ()) == scalar(Fraction(1, 2))
+    twice[((1,), (2,), ())] = scalar(3)
+    with pytest.raises(DescentError, match=r"^deltas for 1\|2\| disagree"):
+        DescentDatum(d.fan, d.charts, twice, bases=d.bases)

@@ -1,7 +1,8 @@
 """Static layering rules over the package sources.
 
-Private helpers stay inside their module, and the exponent product of a
-lattice direction (the only consumer of ``stratum_loop_exponents``) has
+Private helpers stay inside their module, every imported name is used,
+and the exponent product of a lattice direction (the only consumer of
+``stratum_loop_exponents``) and the arrow monodromy operator each have
 exactly one implementation.
 """
 
@@ -59,3 +60,32 @@ def test_stratum_loop_exponents_has_one_caller():
         for func in functions_calling(tree, "stratum_loop_exponents")
     ]
     assert len(callers) == 1, callers
+
+
+def test_monodromy_is_built_only_by_the_direction_resolver():
+    callers = [
+        f"{name}.{func}"
+        for name, tree in modules().items()
+        for func in functions_calling(tree, "monodromy")
+    ]
+    assert callers == ["reps.DirectionResolver._operator"]
+
+
+def test_every_imported_name_is_used():
+    """A name a module imports is read somewhere in that module; the
+    package's ``__init__`` re-exports and ``from __future__`` imports are
+    the exceptions."""
+    unused = []
+    for name, tree in modules().items():
+        if name == "__init__":
+            continue
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}: {imported_name}" for imported_name in imported if imported_name not in used]
+    assert unused == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
+from fanrep import reps
 from fanrep.exactnum import IntMatrix, RatMatrix, mat_mul
 from fanrep.geometry import Cone, Fan, chart_bases
 from fanrep.quivers import Quiver, arrangement_quiver, cube_quiver, fan_quiver, hypercube_quiver
@@ -200,6 +201,21 @@ class TestValidateCSigma:
             }
             rep = Representation(q, dims, u, v)
             assert (validate_CSigma(rep) == []) == (validate_Cn(rep) == [])
+
+    def test_one_monodromy_per_edge(self, monkeypatch):
+        # condition (i) and the commuting check read one resolver
+        calls = []
+        real = reps.monodromy
+
+        def counting(rep, edge, end="low"):
+            calls.append((tuple(edge), end))
+            return real(rep, edge, end)
+
+        monkeypatch.setattr(reps, "monodromy", counting)
+        q = arrangement_quiver(4)
+        rep = Representation(q, {v: 1 for v in q.vertices})
+        assert validate_CSigma(rep) == []
+        assert sorted(calls) == sorted((edge, "low") for edge in rep.quiver.arrow_pairs)
 
 
 class TestValidateCDelta:
