@@ -224,7 +224,7 @@ def cmd_rep_iso(path_a: str, path_b: str, seed: int, max_attempts: int) -> Comma
 
 def _load_descent(path: str):
     """The descent datum in path, over a fan that passes validate_fan."""
-    datum = _load(path, descent_from_json, DescentError)
+    datum = _load(path, descent_from_json, (DescentError, FanError))
     validate_fan(datum.fan)
     return datum
 

@@ -21,6 +21,7 @@ from .geometry import (
     ChartBasis,
     Cone,
     Fan,
+    FanError,
     chart_bases,
     cone_key,
     fan_from_json,
@@ -28,6 +29,7 @@ from .geometry import (
     loop_reference,
     maximal_cones,
     parse_cone_key,
+    validate_fan,
 )
 from .quivers import Quiver, Vertex, cube_quiver, fan_quiver, parse_vertex_key, subsets, vertex_key
 from .reps import (
@@ -95,14 +97,13 @@ class DescentDatum:
     keeps its validate_descent verdict once computed.
     """
 
-    __slots__ = ("fan", "bases", "basis_overrides", "charts", "_deltas", "_verdict")
+    __slots__ = ("fan", "bases", "charts", "_deltas", "_verdict")
 
-    def __init__(self, fan: Fan, charts: Dict[Cone, Representation], deltas, bases=None, basis_overrides=None):
+    def __init__(self, fan: Fan, charts: Dict[Cone, Representation], deltas, bases=None):
         if bases is None:
-            bases = chart_bases(fan, basis_overrides)
+            bases = chart_bases(fan)
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "bases", MappingProxyType(dict(bases)))
-        object.__setattr__(self, "basis_overrides", dict(basis_overrides or {}))
         tops = maximal_cones(fan)
         charts = dict(charts)
         for cone in tops:
@@ -171,6 +172,7 @@ class DescentDatum:
         return (
             isinstance(other, DescentDatum)
             and self.fan == other.fan
+            and self.bases == other.bases
             and self.charts == other.charts
             and self._deltas == other._deltas
         )
@@ -231,11 +233,12 @@ def _check_descent(d: DescentDatum) -> List[Violation]:
         ca, cb = d.charts[a], d.charts[b]
         for edge in cube_quiver(sorted(set(a.ray_indices) & set(b.ray_indices))).arrow_pairs:
             j, jp = edge
-            dj = d.delta(a, b, j)
+            dj, djp = d.delta(a, b, j), d.delta(a, b, jp)
+            # djp^-1 . u_b . dj == u_a and dj^-1 . v_b . djp == v_a,
+            # each multiplied through by its left delta
             checks = (
-                ("u", mat_mul(mat_mul(d.delta(b, a, jp), cb.u[edge]), dj), ca.u[edge]),
-                # dj^-1 . v_b . djp == v_a, multiplied through by dj
-                ("v", mat_mul(cb.v[edge], d.delta(a, b, jp)), mat_mul(dj, ca.v[edge])),
+                ("u", mat_mul(cb.u[edge], dj), mat_mul(djp, ca.u[edge])),
+                ("v", mat_mul(cb.v[edge], djp), mat_mul(dj, ca.v[edge])),
             )
             out += [
                 Violation(
@@ -320,7 +323,7 @@ def glue(d: DescentDatum) -> Representation:
     return Representation(quiver, dims, u, v, loops)
 
 
-def section(rep: Representation, fan: Fan, bases=None, basis_overrides=None) -> DescentDatum:
+def section(rep: Representation, fan: Fan, bases=None) -> DescentDatum:
     """Restrict a valid fan-quiver representation to every chart, with
     identity deltas.  The representation is read-only, so section reuses
     the resolver validate_CDelta kept on it for this fan and these bases
@@ -328,7 +331,7 @@ def section(rep: Representation, fan: Fan, bases=None, basis_overrides=None) -> 
     operators.  An invalid one raises DescentError naming its first
     violation, kept verdict or not."""
     if bases is None:
-        bases = chart_bases(fan, basis_overrides)
+        bases = chart_bases(fan)
     resolver = cdelta_resolver(rep, fan, bases)
     if resolver.verdict:
         raise DescentError(
@@ -347,7 +350,7 @@ def section(rep: Representation, fan: Fan, bases=None, basis_overrides=None) -> 
                 loops[(vtx, label)] = resolver.operator(vtx, label)
         charts[cone] = Representation(quiver, dims, u, v, loops)
     deltas = {key: RatMatrix.identity(rep.dims[key[2]]) for key in overlaps(tops)}
-    return DescentDatum(fan, charts, deltas, bases=bases, basis_overrides=basis_overrides)
+    return DescentDatum(fan, charts, deltas, bases=bases)
 
 
 @dataclass
@@ -386,8 +389,14 @@ def glue_morphism(m: DescentMorphism) -> Morphism:
 
 
 def descent_to_json(d: DescentDatum) -> dict:
+    """Descent JSON; the fan's ``bases`` holds the chart bases that differ
+    from the default completion of chart_bases(fan)."""
+    defaults = chart_bases(d.fan)
+    overrides = {
+        cone: basis.basis for cone, basis in d.bases.items() if basis.basis != defaults[cone].basis
+    }
     return {
-        "fan": fan_to_json(d.fan, d.basis_overrides or None),
+        "fan": fan_to_json(d.fan, overrides),
         "charts": {
             cone_key(cone): rep_to_json(chart, include_quiver=False)
             for cone, chart in sorted(d.charts.items(), key=lambda kv: kv[0].ray_indices)
@@ -409,7 +418,12 @@ def descent_from_json(data: dict) -> DescentDatum:
         delta_data = parse_object(data["deltas"], '$["deltas"]')
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed descent JSON: {exc}")
-    bases = chart_bases(fan, overrides)
+    try:
+        bases = chart_bases(fan, overrides)
+    except FanError:
+        # name the first failing fan axiom, which a basis check may hide
+        validate_fan(fan)
+        raise
     tops = maximal_cones(fan)
     charts = {}
     for key, rep_data in chart_data.items():
@@ -427,4 +441,4 @@ def descent_from_json(data: dict) -> DescentDatum:
         deltas[
             (parse_cone_key(a_key), parse_cone_key(b_key), parse_vertex_key(j_key))
         ] = RatMatrix.from_json(rows, f'$["deltas"]["{key}"]')
-    return DescentDatum(fan, charts, deltas, bases=bases, basis_overrides=overrides)
+    return DescentDatum(fan, charts, deltas, bases=bases)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm, prod
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -544,89 +545,33 @@ class IntMatrix(_Matrix):
 def smith_normal_form(a: IntMatrix) -> tuple:
     """Smith normal form: returns (U, D, V) with U.a.V = D exactly.
 
-    U and V are unimodular; D is diagonal with non-negative entries and
-    d_i | d_{i+1}.
+    U and V are unimodular; D has the shape of a, is diagonal with
+    non-negative entries and d_i | d_{i+1}.
+
+    Computed by alternating row Hermite reductions of m and m^T (Kannan
+    and Bachem 1979) until m is diagonal.  This terminates: a
+    row-then-column round either clears the first row and column of the
+    unfinished block, or lowers its leading entry to a proper divisor.
+    When a diagonal pair has d_i not dividing d_j, column j is added to
+    column i, and the next round lowers d_i to gcd(d_i, d_j) < d_i (and
+    d_j to the lcm).
     """
-    nr, nc = a.rows, a.cols
-    m = a.to_rows()
-    u = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_add(i, j, q):  # row_i += q * row_j
-        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def row_neg(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def col_add(i, j, q):  # col_i += q * col_j
-        for row in m:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-
-    t = 0
-    while t < min(nr, nc):
-        piv = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = m[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        while True:
-            # clear column t below the pivot
-            dirty = False
-            for i in range(t + 1, nr):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    row_add(i, t, -q)
-                    if m[i][t] != 0:
-                        row_swap(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, nc):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    col_add(j, t, -q)
-                    if m[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry for the chain d_i | d_{i+1}
-            offending = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if m[i][j] % m[t][t] != 0:
-                        offending = i
-                        break
-                if offending is not None:
-                    break
-            if offending is None:
-                break
-            row_add(t, offending, 1)
-        if m[t][t] < 0:
-            row_neg(t)
-        t += 1
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(m), IntMatrix.from_rows(v)
+    u, m, v = IntMatrix.identity(a.rows), a, IntMatrix.identity(a.cols)
+    while True:
+        row_u, _, m, _ = hermite_row_transform(m)
+        col_u, _, mt, _ = hermite_row_transform(m.transpose())
+        m, u, v = mt.transpose(), row_u.mul(u), v.mul(col_u.transpose())
+        if any(m.entry(i, j) for i in range(m.rows) for j in range(m.cols) if i != j):
+            continue
+        diag = [m.entry(i, i) for i in range(min(m.shape))]
+        pairs = [(i, j) for i, j in combinations(range(len(diag)), 2) if diag[i] and diag[j] % diag[i]]
+        if not pairs:
+            return u, m, v
+        i, j = pairs[0]
+        # add column j to column i: multiply by I + E_ji on the right
+        n = m.cols
+        mix = IntMatrix(n, n, [int(r == c or (r, c) == (j, i)) for r in range(n) for c in range(n)])
+        m, v = m.mul(mix), v.mul(mix)
 
 
 def hermite_row_transform(a: IntMatrix) -> tuple:
@@ -688,12 +633,9 @@ def hermite_row_transform(a: IntMatrix) -> tuple:
                     add(i, pr, -q)
             pivots.append(c)
             pr += 1
-    return (
-        IntMatrix.from_rows(u),
-        IntMatrix.from_rows(uinv),
-        IntMatrix.from_rows(m),
-        pivots,
-    )
+    # H from its shape, not its row lists: a 0 x c input has no rows
+    h = IntMatrix._trusted(nr, nc, tuple(x for row in m for x in row))
+    return IntMatrix.from_rows(u), IntMatrix.from_rows(uinv), h, pivots
 
 
 @lru_cache(maxsize=256)

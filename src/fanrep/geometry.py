@@ -227,13 +227,11 @@ def dual_cone_smooth(m: IntMatrix) -> IntMatrix:
     completed chart basis), with |det| = 1.  Returns G = (M^T)^{-1}, whose
     columns g_i satisfy <g_i, v_j> = delta_ij exactly.  For a lower
     dimensional cone completed to a basis the caller owns the sign choice
-    on the completion directions; we always return +g.
+    on the completion directions; we always return +g.  A matrix that is
+    not square, or not unimodular, raises ValueError from
+    unimodular_inverse.
     """
-    if m.rows != m.cols:
-        raise ValueError("generator matrix must be square")
-    if abs(m.det()) != 1:
-        raise ValueError("generator matrix is not unimodular; cone is not smooth")
-    return unimodular_inverse(m.transpose())
+    return unimodular_inverse(m).transpose()
 
 
 @lru_cache(maxsize=64)

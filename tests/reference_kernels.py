@@ -35,6 +35,17 @@ elsewhere the two are isomorphic through the deltas.
 are the relation (iii) loop of ``fanrep.reps`` and the transport loop of
 ``fanrep.descent`` as each resolved both sides and skipped a singular
 direction itself, before the two shared one operator stream.
+
+``conjugation_violations`` is the overlap conjugation walk of
+``fanrep.descent`` while it checked u through the reverse delta,
+delta(K', K, J').u_K'.delta(K, K', J) == u_K; the check multiplied
+through by delta(K, K', J') must give the same violations.
+
+``smith_normal_form`` is the elimination with its own pivot search,
+row and column operations and divisibility repair that
+``fanrep.exactnum`` had before the Smith form came from alternating
+Hermite reductions.  D is unique, so both must give the same D (this one
+builds D from its row lists, so a 0 x c input gives a 0 x 0 D).
 """
 
 import itertools
@@ -47,8 +58,8 @@ from fanrep.charts import stratum_loop_exponents
 from fanrep.descent import DescentError, validate_descent
 from fanrep.exactnum import IntMatrix, NotInvertibleError, RatMatrix
 from fanrep.geometry import ChartBasis, Cone, cone_key, loop_reference, maximal_cones
-from fanrep.quivers import Vertex, fan_quiver, subsets, vertex_key
-from fanrep.reps import DirectionResolver, Representation, Violation, _arrow_maps, monodromy
+from fanrep.quivers import Vertex, cube_quiver, fan_quiver, subsets, vertex_key
+from fanrep.reps import DirectionResolver, Representation, Violation, _arrow_maps, edge_key, monodromy
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -426,3 +437,117 @@ def transport_violations(d) -> List[Violation]:
                     )
                 )
     return out
+
+
+def conjugation_violations(d) -> List[Violation]:
+    """The overlap conjugation violations of a descent datum."""
+    tops = maximal_cones(d.fan)
+    out = []
+    for a, b in itertools.combinations(tops, 2):
+        ca, cb = d.charts[a], d.charts[b]
+        for edge in cube_quiver(sorted(set(a.ray_indices) & set(b.ray_indices))).arrow_pairs:
+            j, jp = edge
+            dj = d.delta(a, b, j)
+            checks = (
+                ("u", mat_mul(mat_mul(d.delta(b, a, jp), cb.u[edge]), dj), ca.u[edge]),
+                # dj^-1 . v_b . djp == v_a, multiplied through by dj
+                ("v", mat_mul(cb.v[edge], d.delta(a, b, jp)), mat_mul(dj, ca.v[edge])),
+            )
+            out += [
+                Violation(
+                    "conjugation",
+                    (cone_key(a), cone_key(b), edge_key(edge), arrow),
+                    f"delta does not conjugate the shared {arrow} map",
+                )
+                for arrow, lhs, rhs in checks
+                if lhs != rhs
+            ]
+    return out
+
+
+def smith_normal_form(a: IntMatrix) -> tuple:
+    """Smith normal form: returns (U, D, V) with U.a.V = D exactly.
+
+    U and V are unimodular; D is diagonal with non-negative entries and
+    d_i | d_{i+1}.
+    """
+    nr, nc = a.rows, a.cols
+    m = a.to_rows()
+    u = IntMatrix.identity(nr).to_rows()
+    v = IntMatrix.identity(nc).to_rows()
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def row_add(i, j, q):  # row_i += q * row_j
+        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+
+    def row_neg(i):
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+
+    def col_swap(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def col_add(i, j, q):  # col_i += q * col_j
+        for row in m:
+            row[i] += q * row[j]
+        for row in v:
+            row[i] += q * row[j]
+
+    t = 0
+    while t < min(nr, nc):
+        piv = None
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = m[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    piv = (i, j)
+        if piv is None:
+            break
+        row_swap(t, piv[0])
+        col_swap(t, piv[1])
+        while True:
+            # clear column t below the pivot
+            dirty = False
+            for i in range(t + 1, nr):
+                if m[i][t] != 0:
+                    q = m[i][t] // m[t][t]
+                    row_add(i, t, -q)
+                    if m[i][t] != 0:
+                        row_swap(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, nc):
+                if m[t][j] != 0:
+                    q = m[t][j] // m[t][t]
+                    col_add(j, t, -q)
+                    if m[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide every remaining entry for the chain d_i | d_{i+1}
+            offending = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if m[i][j] % m[t][t] != 0:
+                        offending = i
+                        break
+                if offending is not None:
+                    break
+            if offending is None:
+                break
+            row_add(t, offending, 1)
+        if m[t][t] < 0:
+            row_neg(t)
+        t += 1
+    return IntMatrix.from_rows(u), IntMatrix.from_rows(m), IntMatrix.from_rows(v)

@@ -333,6 +333,19 @@ def test_descent_fan_is_validated(tmp_path, capsys, command):
     assert payload["detail"].startswith("face-closure:")
 
 
+@pytest.mark.parametrize("command", ["check", "glue"])
+def test_descent_fan_error_names_the_first_failing_axiom(tmp_path, capsys, command):
+    """A zero ray makes the chart bases fail first; the error is still a
+    fan error naming the ray, as under rep validate --category cdelta."""
+    data = json.loads((FIXTURES / "descent_p2_ok.json").read_text())
+    data["fan"]["rays"][0] = [0, 0]
+    target = tmp_path / "descent.json"
+    target.write_text(json.dumps(data))
+    code, payload = invoke(capsys, "descent", command, str(target))
+    assert (code, payload["error"]) == (2, "fan")
+    assert payload["detail"] == "rays: ray 1 = (0, 0) is zero or not primitive"
+
+
 def test_delta_key_must_have_three_parts(tmp_path, capsys):
     data = json.loads((FIXTURES / "descent_p2_ok.json").read_text())
     data["deltas"]["1,2|1,3"] = data["deltas"].pop("1,2|1,3|1")

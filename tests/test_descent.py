@@ -1175,3 +1175,73 @@ def test_a_key_given_twice_must_agree():
     twice[((1,), (2,), ())] = scalar(3)
     with pytest.raises(DescentError, match=r"^deltas for 1\|2\| disagree"):
         DescentDatum(d.fan, d.charts, twice, bases=d.bases)
+
+
+@st.composite
+def conjugation_data(draw):
+    """A twisted descent datum with up to three u or v maps replaced on
+    edges that two charts share: by twice the map or by a random matrix
+    with entries -2..2, so that conjugation fails through u, through v,
+    or not at all."""
+    d = draw(twisted_data())
+    tops = maximal_cones(d.fan)
+    shared = [
+        (cone, edge)
+        for a, b in itertools.combinations(tops, 2)
+        for edge in sorted(set(d.charts[a].quiver.arrow_pairs) & set(d.charts[b].quiver.arrow_pairs))
+        for cone in (a, b)
+    ]
+    assume(shared)
+    pick = lambda options: draw(st.sampled_from(list(options)))
+    maps = {cone: {"u": dict(chart.u), "v": dict(chart.v)} for cone, chart in d.charts.items()}
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        cone, edge = pick(shared)
+        arrow = pick(["u", "v"])
+        old = maps[cone][arrow][edge]
+        maps[cone][arrow][edge] = pick(
+            [old.scale(2), RatMatrix(old.rows, old.cols, [pick(range(-2, 3)) for _ in old.entries])]
+        )
+    charts = {
+        cone: Representation(chart.quiver, dict(chart.dims), maps[cone]["u"], maps[cone]["v"], dict(chart.loop_maps))
+        for cone, chart in d.charts.items()
+    }
+    return DescentDatum(d.fan, charts, d.stored_deltas(), bases=d.bases)
+
+
+@given(conjugation_data())
+@settings(max_examples=60, deadline=None)
+def test_conjugation_matches_the_reverse_delta_walk(d):
+    got = [v for v in validate_descent(d) if v.condition == "conjugation"]
+    assert got == sorted(ref.conjugation_violations(d), key=violation_sort_key)
+
+
+def override_section():
+    """A valid representation over fan_cxcstar_override.json (dimension 1,
+    u = 1, v = 2, loops 3) and its section over the overridden bases."""
+    data = json.loads((FIXTURES / "fan_cxcstar_override.json").read_text())
+    fan, overrides = fan_from_json(data)
+    bases = chart_bases(fan, overrides)
+    quiver = fan_quiver(fan, bases)
+    rep = Representation(
+        quiver,
+        {vtx: 1 for vtx in quiver.vertices},
+        {edge: scalar(1) for edge in quiver.arrow_pairs},
+        {edge: scalar(2) for edge in quiver.arrow_pairs},
+        {(vtx, label): scalar(3) for vtx in quiver.vertices for label in quiver.loops[vtx]},
+    )
+    return section(rep, fan, bases), data["bases"]
+
+
+class TestChartBasesInJson:
+    def test_overridden_bases_survive_json(self):
+        d, written = override_section()
+        data = descent_to_json(d)
+        assert data["fan"]["bases"] == written
+        back = descent_from_json(data)
+        assert back.bases == d.bases and back == d
+
+    def test_data_differing_only_in_bases_are_unequal(self):
+        d, _ = override_section()
+        default = DescentDatum(d.fan, d.charts, d.stored_deltas(), bases=chart_bases(d.fan))
+        assert default.bases != d.bases
+        assert default != d

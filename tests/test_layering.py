@@ -2,8 +2,8 @@
 
 Private helpers stay inside their module, every imported name is used,
 and the exponent product of a lattice direction (the only consumer of
-``stratum_loop_exponents``) and the arrow monodromy operator each have
-exactly one implementation.
+``stratum_loop_exponents``), the arrow monodromy operator and integer
+row reduction each have exactly one implementation.
 """
 
 import ast
@@ -69,6 +69,22 @@ def test_monodromy_is_built_only_by_the_direction_resolver():
         for func in functions_calling(tree, "monodromy")
     ]
     assert callers == ["reps.DirectionResolver._operator"]
+
+
+def test_smith_normal_form_reduces_through_hermite():
+    """The Smith form alternates Hermite reductions of m and m^T; it has
+    no row or column operations of its own."""
+    tree = modules()["exactnum"]
+    (smith,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "smith_normal_form"
+    ]
+    assert "smith_normal_form" in functions_calling(tree, "hermite_row_transform")
+    nested = [
+        type(node).__name__
+        for node in ast.walk(smith)
+        if node is not smith and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+    assert nested == []
 
 
 def test_every_imported_name_is_used():
