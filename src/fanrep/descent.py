@@ -37,7 +37,7 @@ from .reps import (
     Morphism,
     Representation,
     Violation,
-    cdelta_resolver,
+    cdelta_check,
     check_invertibility,
     check_loops,
     check_squares,
@@ -326,17 +326,16 @@ def glue(d: DescentDatum) -> Representation:
 def section(rep: Representation, fan: Fan, bases=None) -> DescentDatum:
     """Restrict a valid fan-quiver representation to every chart, with
     identity deltas.  The representation is read-only, so section reuses
-    the resolver validate_CDelta kept on it for this fan and these bases
-    (or builds and keeps it), with its verdict and its chart loop
-    operators.  An invalid one raises DescentError naming its first
+    the verdict and the operators validate_CDelta kept on it for this fan
+    and these bases (or computes and keeps them), chart loop operators
+    included.  An invalid one raises DescentError naming its first
     violation, kept verdict or not."""
     if bases is None:
         bases = chart_bases(fan)
-    resolver = cdelta_resolver(rep, fan, bases)
-    if resolver.verdict:
-        raise DescentError(
-            f"representation is invalid; first violation: {resolver.verdict[0]}"
-        )
+    check = cdelta_check(rep, fan, bases)
+    if check.verdict:
+        raise DescentError(f"representation is invalid; first violation: {check.verdict[0]}")
+    resolver = check.resolver(rep)
     tops = maximal_cones(fan)
     charts = {}
     for cone in tops:
@@ -390,11 +389,9 @@ def glue_morphism(m: DescentMorphism) -> Morphism:
 
 def descent_to_json(d: DescentDatum) -> dict:
     """Descent JSON; the fan's ``bases`` holds the chart bases that differ
-    from the default completion of chart_bases(fan)."""
-    defaults = chart_bases(d.fan)
-    overrides = {
-        cone: basis.basis for cone, basis in d.bases.items() if basis.basis != defaults[cone].basis
-    }
+    from the default completion of chart_bases(fan), as each basis records
+    in its ``override`` flag."""
+    overrides = {cone: basis.basis for cone, basis in d.bases.items() if basis.override}
     return {
         "fan": fan_to_json(d.fan, overrides),
         "charts": {

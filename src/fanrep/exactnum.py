@@ -5,10 +5,15 @@ positive denominator); floats are never used, so invertibility and rank
 decisions are exact.  Matrices act on column vectors: ``mat_mul(a, b)``
 is the map "apply b, then a".
 
-The rational kernels (products, inverses, determinants, invertibility,
-row echelon forms and nullspaces) run on Python ints: each row or column
-is cleared of denominators once, the elimination is fraction-free over Z
-(Bareiss 1968), and Fractions are built only for the output entries.
+A RatMatrix is stored as one positive integer denominator and a tuple of
+integer entries, reduced so that their gcd with the denominator is 1;
+equal matrices therefore store equal integers, and ``==`` and ``hash``
+compare them.  The rational kernels (products, sums, inverses,
+determinants, invertibility, row echelon forms and nullspaces) run on
+those integers: a product is an integer product over the product of the
+denominators, reduced by one gcd, and the eliminations are fraction-free
+over Z (Bareiss 1968).  Fractions are built only by the ``entries`` view,
+on its first read, and by the scalar coercion and ``parse_rational``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -57,8 +62,8 @@ class NotCompletableError(ValueError):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a reduced Fraction with positive denominator.
+def _parse_ratio(text: str) -> tuple:
+    """(p, q), q >= 1, from "p/q" or "p" (q = 1), not reduced.
 
     Only integer and slash forms are accepted; decimal strings are
     rejected so no value sneaks in through float notation.
@@ -68,7 +73,14 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational string: {text!r}")
-    return Fraction(text)
+    p, _, q = text.partition("/")
+    return int(p), int(q or 1)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" or "p" into a reduced Fraction with positive denominator,
+    with the checks of _parse_ratio."""
+    return Fraction(*_parse_ratio(text))
 
 
 def parse_int(value, where: str) -> int:
@@ -119,37 +131,44 @@ def parse_digits(text: str, where: str) -> int:
 
 def format_rational(x: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
+    x = _as_fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-def _as_fraction(x) -> Fraction:
-    if type(x) is Fraction:
+def _as_fraction(x, den: int = 1) -> Fraction:
+    """The scalar coercion: x / den as a Fraction; a float raises TypeError."""
+    if type(x) is Fraction and den == 1:
         return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact matrices")
-    return Fraction(x)
+    return Fraction(x) if den == 1 else Fraction(x, den)
 
 
-def _scaled(values) -> tuple:
-    """(d, ints) with d the lcm of the denominators and values[i] == ints[i] / d."""
-    den = lcm(*[x.denominator for x in values])
-    return den, [x.numerator * (den // x.denominator) for x in values]
-
-
-def _primitive(row: list) -> list:
+def _primitive(row: Sequence[int]) -> Sequence[int]:
     """The integer row divided by the gcd of its entries (a zero row as is)."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
+@lru_cache(maxsize=64)
+def _unit(n: int) -> tuple:
+    """The entries of the n x n identity, row-major."""
+    if n < 0:
+        raise ValueError("negative matrix dimension")
+    return tuple(int(i == j) for i in range(n) for j in range(n))
+
+
+def _transposed(values: tuple, cols: int) -> tuple:
+    """The row-major entries of the transpose of a matrix with cols columns."""
+    return tuple(x for j in range(cols) for x in values[j::cols])
+
+
 def _bareiss_det(m: list) -> int:
     """Determinant of the square integer matrix with rows m, by Bareiss
     fraction-free elimination (every division is exact).  The list m is
-    reordered and its rows replaced; the row lists themselves are not
-    modified.
+    reordered and its rows replaced; the rows themselves are not modified.
 
     After step c the leading column is finished, so each remaining row
     drops it and the pivot column is always index 0.
@@ -175,34 +194,21 @@ def _bareiss_det(m: list) -> int:
 
 
 class _Matrix:
-    """Immutable dense matrix, entries in row-major order.  A subclass sets
-    ``_scalar``, the coercion of each entry, and ``_format``, the text of
-    an entry in ``repr``."""
+    """Immutable dense matrix, entries in row-major order.  A subclass
+    stores its entries, gives them as the ``entries`` tuple and sets
+    ``_format``, the text of an entry in ``repr``."""
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        entries = tuple(map(self._scalar, entries))
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimension")
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+    __slots__ = ("rows", "cols")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple):
-        """Matrix over a tuple of rows*cols scalars built by this module;
-        skips the coercion and checks of the public constructor."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", rows)
-        object.__setattr__(matrix, "cols", cols)
-        object.__setattr__(matrix, "entries", entries)
-        return matrix
+    @staticmethod
+    def _check_shape(rows: int, cols: int, count: int) -> None:
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimension")
+        if count != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {count}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]):
@@ -211,11 +217,6 @@ class _Matrix:
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
         return cls(r, c, [x for row in rows for x in row])
-
-    @classmethod
-    def identity(cls, n: int):
-        one, zero = cls._scalar(1), cls._scalar(0)
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -233,23 +234,6 @@ class _Matrix:
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
-    def transpose(self):
-        return self._trusted(
-            self.cols,
-            self.rows,
-            tuple(x for j in range(self.cols) for x in self.entries[j :: self.cols]),
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self) -> str:
         rows = "; ".join(
             " ".join(map(self._format, self.row(i))) for i in range(self.rows)
@@ -257,59 +241,140 @@ class _Matrix:
         return f"{type(self).__name__}({self.rows}x{self.cols}: [{rows}])"
 
 
-class RatMatrix(_Matrix):
-    """Immutable rational matrix.  0xk and kx0 shapes are legal."""
+def _rat(rows: int, cols: int, den: int, ints: tuple) -> "RatMatrix":
+    """The RatMatrix stored as (den, ints), which must already be reduced."""
+    return object.__new__(RatMatrix)._store(rows, cols, den, ints)
 
-    __slots__ = ()
-    _scalar = staticmethod(_as_fraction)
+
+def _reduced(rows: int, cols: int, den: int, ints) -> "RatMatrix":
+    """The RatMatrix with entries ints[k] / den (den != 0), divided through
+    by gcd(den, *ints) and the sign of den."""
+    g = gcd(den, *ints)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return _rat(rows, cols, den, tuple(ints))
+    return _rat(rows, cols, den // g, tuple(x // g for x in ints))
+
+
+class RatMatrix(_Matrix):
+    """Immutable rational matrix.  0xk and kx0 shapes are legal.
+
+    Stored as one denominator ``den`` > 0 and ``ints``, the integer entries
+    in row-major order: entry (i, j) is ints[i * cols + j] / den, and
+    gcd(den, *ints) = 1, so equal matrices store equal integers and every
+    zero matrix has den 1.  ``entries`` is the tuple of Fractions, built on
+    first read and kept; no kernel reads it.
+    """
+
+    __slots__ = ("den", "ints", "_entries")
     _format = staticmethod(format_rational)
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        # its own __init__, not the inherited one: perfbench/tracing.py
-        # wraps RatMatrix.__init__ to count the entries it coerces
-        super().__init__(rows, cols, entries)
+        # its own __init__: perfbench/tracing.py wraps RatMatrix.__init__ to
+        # count the entries it coerces
+        entries = tuple(map(_as_fraction, entries))
+        self._check_shape(rows, cols, len(entries))
+        # over reduced Fractions the lcm of the denominators leaves
+        # gcd(den, *ints) = 1
+        dens = [x.denominator for x in entries]
+        den = lcm(*dens)
+        self._store(rows, cols, den, tuple([x.numerator * (den // d) for x, d in zip(entries, dens)]))
+
+    def _store(self, rows: int, cols: int, den: int, ints: tuple) -> "RatMatrix":
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "_entries", None)
+        return self
+
+    @classmethod
+    def from_ints(cls, rows: int, cols: int, den: int, ints: Iterable[int]) -> "RatMatrix":
+        """The rows x cols matrix with entry (i, j) = ints[i * cols + j] / den,
+        reduced to the stored form.  den and the entries must be ints
+        (``operator.index``), and den must not be 0."""
+        ints = tuple(map(index, ints))
+        den = index(den)
+        cls._check_shape(rows, cols, len(ints))
+        if den == 0:
+            raise ZeroDivisionError("RatMatrix denominator is 0")
+        return _reduced(rows, cols, den, ints)
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as reduced Fractions, in row-major order."""
+        view = self._entries
+        if view is None:
+            den = self.den
+            view = tuple(Fraction(x, den) for x in self.ints)
+            object.__setattr__(self, "_entries", view)
+        return view
+
+    def _int_rows(self) -> list:
+        """The rows of den times the matrix, as integer tuples."""
+        c = self.cols
+        return [self.ints[i * c : (i + 1) * c] for i in range(self.rows)]
+
+    @classmethod
+    def identity(cls, n: int) -> "RatMatrix":
+        return _rat(n, n, 1, _unit(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        cls._check_shape(rows, cols, rows * cols)
+        return _rat(rows, cols, 1, (0,) * (rows * cols))
 
     @classmethod
     def column(cls, values: Sequence) -> "RatMatrix":
         values = list(values)
         return cls(len(values), 1, values)
 
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is RatMatrix
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.den == other.den
+            and self.ints == other.ints
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den, self.ints))
+
+    def transpose(self) -> "RatMatrix":
+        return _rat(self.cols, self.rows, self.den, _transposed(self.ints, self.cols))
+
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.ints)
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entry(i, j) == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
+        return self.rows == self.cols and self.den == 1 and self.ints == _unit(self.rows)
+
+    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
+        """self + sign * other, over the lcm of the two denominators."""
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        return _reduced(
+            self.rows, self.cols, den, [x * sa + y * sb for x, y in zip(self.ints, other.ints)]
         )
 
     def add(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return RatMatrix._trusted(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
+        return self._combine(other, 1)
 
     def sub(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return RatMatrix._trusted(
-            self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
+        return self._combine(other, -1)
 
     def scale(self, x) -> "RatMatrix":
         x = _as_fraction(x)
-        return RatMatrix._trusted(self.rows, self.cols, tuple(x * a for a in self.entries))
+        return _reduced(
+            self.rows, self.cols, self.den * x.denominator, [x.numerator * a for a in self.ints]
+        )
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         return mat_mul(self, other)
@@ -327,11 +392,11 @@ class RatMatrix(_Matrix):
         return invert(self)
 
     def is_invertible(self) -> bool:
-        """Decided by the Bareiss determinant of the row-scaled integer
-        matrix; builds no inverse."""
+        """Decided by the Bareiss determinant of the integer matrix; builds
+        no inverse."""
         if self.rows != self.cols:
             return False
-        return _bareiss_det([_scaled(self.row(i))[1] for i in range(self.rows)]) != 0
+        return _bareiss_det(self._int_rows()) != 0
 
     def power(self, k: int) -> "RatMatrix":
         """Exact integer power; negative exponents go through the inverse.
@@ -356,10 +421,7 @@ class RatMatrix(_Matrix):
     def det(self) -> Fraction:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        scaled = [_scaled(self.row(i)) for i in range(self.rows)]
-        return Fraction(
-            _bareiss_det([row for _, row in scaled]), prod(d for d, _ in scaled)
-        )
+        return _as_fraction(_bareiss_det(self._int_rows()), self.den**self.rows)
 
     def to_json(self) -> list:
         return [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
@@ -373,54 +435,54 @@ class RatMatrix(_Matrix):
         cols = len(data[0]) if shaped and data else 0
         if not shaped or any(len(row) != cols for row in data):
             raise ValueError(f"{where} must be a list of equal-length lists of rational strings")
-        return cls(len(data), cols, [parse_rational(x) for row in data for x in row])
+        ratios = [_parse_ratio(x) for row in data for x in row]
+        den = lcm(*[q for _, q in ratios])
+        return _reduced(len(data), cols, den, [p * (den // q) for p, q in ratios])
 
     @staticmethod
     def block_diag(a: "RatMatrix", b: "RatMatrix") -> "RatMatrix":
-        rows = a.rows + b.rows
-        cols = a.cols + b.cols
-        entries = []
-        for i in range(a.rows):
-            entries.extend(a.row(i))
-            entries.extend([Fraction(0)] * b.cols)
-        for i in range(b.rows):
-            entries.extend([Fraction(0)] * a.cols)
-            entries.extend(b.row(i))
-        return RatMatrix._trusted(rows, cols, tuple(entries))
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        ints = []
+        for row in a._int_rows():
+            ints += [x * sa for x in row]
+            ints += [0] * b.cols
+        for row in b._int_rows():
+            ints += [0] * a.cols
+            ints += [x * sb for x in row]
+        return _reduced(a.rows + b.rows, a.cols + b.cols, den, ints)
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Exact product a.b; as column-vector maps this applies b first, then a."""
+    """Exact product a.b; as column-vector maps this applies b first, then a.
+    The integer product over the product of the two denominators, reduced
+    by one gcd."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.shape} . {b.shape}")
-    rows = [_scaled(a.row(i)) for i in range(a.rows)]
-    cols = [_scaled(b.entries[j :: b.cols]) for j in range(b.cols)]
-    return RatMatrix._trusted(
+    m, y = b.cols, b.ints
+    cols = [y[j::m] for j in range(m)]
+    return _reduced(
         a.rows,
-        b.cols,
-        tuple(Fraction(sum(map(mul, x, y)), dx * dy) for dx, x in rows for dy, y in cols),
+        m,
+        a.den * b.den,
+        [sum(map(mul, row, col)) for row in a._int_rows() for col in cols],
     )
 
 
 def invert(a: RatMatrix) -> RatMatrix:
     """Exact inverse by fraction-free Gauss-Jordan elimination over Z.
 
-    Row i of ``a`` is d_i times an integer row; the integer matrix is
-    reduced next to the identity with Bareiss steps, which ends with every
-    pivot equal to the last one, p.  The right block R then satisfies
-    a^-1[i][j] = R[i][j] * d_j / p.  Raises NotInvertibleError when the
-    rank is deficient; this signal is what the representation validators
-    rely on.
+    ``a`` is M / den with M an integer matrix; M is reduced next to the
+    identity with Bareiss steps, which ends with every pivot equal to the
+    last one, p, and the right block R = p M^-1.  So a^-1 = den R / p.
+    Raises NotInvertibleError when the rank is deficient; this signal is
+    what the representation validators rely on.
     """
     if not a.is_square():
         raise NotInvertibleError(f"matrix is {a.rows}x{a.cols}, not square")
     n = a.rows
-    scales = []
-    m = []
-    for i in range(n):
-        d, row = _scaled(a.row(i))
-        scales.append(d)
-        m.append(row + [int(i == j) for j in range(n)])
+    unit = _unit(n)
+    m = [[*row, *unit[i * n : (i + 1) * n]] for i, row in enumerate(a._int_rows())]
     prev = 1
     for c in range(n):
         # as in _bareiss_det, the finished column c is dropped from every row
@@ -438,9 +500,7 @@ def invert(a: RatMatrix) -> RatMatrix:
                 m[r] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
         m[c] = tail
         prev = p
-    return RatMatrix._trusted(
-        n, n, tuple(Fraction(x * d, prev) for row in m for x, d in zip(row, scales))
-    )
+    return _reduced(n, n, prev, [x * a.den for row in m for x in row])
 
 
 def _rref(a: RatMatrix) -> tuple:
@@ -450,7 +510,7 @@ def _rref(a: RatMatrix) -> tuple:
     column pivots[r] is row r of the rational reduced row echelon form.
     """
     nrows, ncols = a.rows, a.cols
-    m = [_primitive(_scaled(a.row(i))[1]) for i in range(nrows)]
+    m = [_primitive(row) for row in a._int_rows()]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -481,16 +541,20 @@ def solve_nullspace(a: RatMatrix) -> list:
     """
     m, pivots = _rref(a)
     n = a.cols
+    # entry c of the vector of free column f is -row[f] / row[c]: over the
+    # lcm of the pivot entries every vector is an integer vector
+    den = lcm(*[row[c] for row, c in zip(m, pivots)])
+    scales = [den // row[c] for row, c in zip(m, pivots)]
     pivot_set = set(pivots)
     basis = []
     for f in range(n):
         if f in pivot_set:
             continue
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for row, c in zip(m, pivots):
-            vec[c] = Fraction(-row[f], row[c])
-        basis.append(RatMatrix._trusted(n, 1, tuple(vec)))
+        ints = [0] * n
+        ints[f] = den
+        for row, c, s in zip(m, pivots, scales):
+            ints[c] = -row[f] * s
+        basis.append(_reduced(n, 1, den, ints))
     return basis
 
 
@@ -502,9 +566,39 @@ class IntMatrix(_Matrix):
     """Immutable arbitrary-precision integer matrix; an entry must be an
     int (``operator.index``), so a float raises TypeError."""
 
-    __slots__ = ()
-    _scalar = staticmethod(index)
+    __slots__ = ("entries",)
     _format = str
+
+    def __init__(self, rows: int, cols: int, entries: Iterable):
+        entries = tuple(map(index, entries))
+        self._check_shape(rows, cols, len(entries))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
+        """Matrix over a tuple of rows*cols ints built by this module; skips
+        the coercion and checks of the public constructor."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
+
+    @classmethod
+    def identity(cls, n: int) -> "IntMatrix":
+        return cls._trusted(n, n, _unit(n))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is IntMatrix and self.shape == other.shape and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def transpose(self) -> "IntMatrix":
+        return self._trusted(self.cols, self.rows, _transposed(self.entries, self.cols))
+
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int = None) -> "IntMatrix":
@@ -539,7 +633,7 @@ class IntMatrix(_Matrix):
         return self.rows == self.cols and abs(self.det()) == 1
 
     def to_rational(self) -> RatMatrix:
-        return RatMatrix(self.rows, self.cols, self.entries)
+        return _rat(self.rows, self.cols, 1, self.entries)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple:
@@ -663,7 +757,7 @@ def complete_to_unimodular(vectors: Sequence[Sequence[int]], n: int) -> IntMatri
     Raises NotCompletableError when the inputs do not span a saturated
     rank-k sublattice of Z^n.
     """
-    vectors = [tuple(int(x) for x in vec) for vec in vectors]
+    vectors = [tuple(map(index, vec)) for vec in vectors]
     k = len(vectors)
     if k > n:
         raise NotCompletableError(f"{k} vectors cannot be independent in Z^{n}")
@@ -692,7 +786,9 @@ def complete_to_unimodular(vectors: Sequence[Sequence[int]], n: int) -> IntMatri
 
 
 def is_primitive(vec: Sequence[int]) -> bool:
-    vec = tuple(int(x) for x in vec)
+    """True iff the integer vector is nonzero with coprime entries; an
+    entry that is not an int (``operator.index``) raises TypeError."""
+    vec = tuple(map(index, vec))
     if all(x == 0 for x in vec):
         return False
     g = 0

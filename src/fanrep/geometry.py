@@ -8,7 +8,7 @@ set, so face closure and intersections are set computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import index
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -147,12 +147,15 @@ class ChartBasis:
     ``labels[j]`` names column j; columns for the cone's ray indices come
     first (in increasing index order) and equal the rays, and the
     completion columns carry fresh labels never used by any ray or by
-    another chart.
+    another chart.  ``override`` is True when chart_bases took the basis
+    from an override that differs from the default completion; it takes
+    no part in equality.
     """
 
     cone: Cone
     labels: Tuple[int, ...]
     basis: IntMatrix
+    override: bool = field(default=False, compare=False)
 
     def column(self, label: int) -> Tuple[int, ...]:
         return self.basis.col(self.labels.index(label))
@@ -268,7 +271,8 @@ def chart_bases(fan: Fan, overrides: Optional[Dict[Cone, IntMatrix]] = None) -> 
 
     Completion columns get globally fresh labels: charts are processed in
     lexicographic order and labels count up from len(rays) + 1, so no two
-    charts share a completion label.
+    charts share a completion label.  A basis taken from ``overrides``
+    that differs from the default completion is flagged ``override``.
     """
     overrides = overrides or {}
     out = {}
@@ -279,19 +283,21 @@ def chart_bases(fan: Fan, overrides: Optional[Dict[Cone, IntMatrix]] = None) -> 
         next_label += fan.dim - k
         override = overrides.get(cone)
         if override is not None:
-            basis = _validated_override(fan, cone, override)
+            _validated_override(fan, cone, override)
+        try:
+            default = complete_to_unimodular(fan.cone_vectors(cone), fan.dim)
+        except NotCompletableError as exc:
+            raise FanError(
+                "smoothness", f"maximal cone {cone.ray_indices} is not smooth: {exc}"
+            )
+        if override is None or override == default:
+            out[cone] = ChartBasis(cone=cone, labels=labels, basis=default)
         else:
-            try:
-                basis = complete_to_unimodular(fan.cone_vectors(cone), fan.dim)
-            except NotCompletableError as exc:
-                raise FanError(
-                    "smoothness", f"maximal cone {cone.ray_indices} is not smooth: {exc}"
-                )
-        out[cone] = ChartBasis(cone=cone, labels=labels, basis=basis)
+            out[cone] = ChartBasis(cone=cone, labels=labels, basis=override, override=True)
     return out
 
 
-def _validated_override(fan: Fan, cone: Cone, override: IntMatrix) -> IntMatrix:
+def _validated_override(fan: Fan, cone: Cone, override: IntMatrix) -> None:
     if override.shape != (fan.dim, fan.dim):
         raise FanError(
             "basis-override",
@@ -305,7 +311,6 @@ def _validated_override(fan: Fan, cone: Cone, override: IntMatrix) -> IntMatrix:
                 "basis-override",
                 f"column {j} of the basis for {cone.ray_indices} must equal ray {i}",
             )
-    return override
 
 
 def chart_basis(fan: Fan, cone: Cone, override: Optional[IntMatrix] = None) -> ChartBasis:

@@ -13,9 +13,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import index
 from types import MappingProxyType
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .charts import stratum_loop_exponents
 from .exactnum import (
@@ -113,7 +114,7 @@ def _pop_map(maps: dict, kind: str, key, rows: int, cols: int) -> RatMatrix:
 class Representation:
     """Immutable representation of a quiver over Q.  dims, u, v and
     loop_maps are read-only mappings, so a validation verdict computed
-    once stays true for the object's lifetime (see cdelta_resolver)."""
+    once stays true for the object's lifetime (see cdelta_check)."""
 
     __slots__ = ("quiver", "dims", "u", "v", "loop_maps", "_cdelta")
 
@@ -149,7 +150,7 @@ class Representation:
         object.__setattr__(self, "u", MappingProxyType(u_maps))
         object.__setattr__(self, "v", MappingProxyType(v_maps))
         object.__setattr__(self, "loop_maps", MappingProxyType(loop_maps))
-        object.__setattr__(self, "_cdelta", None)  # the resolver of the last C_Delta check
+        object.__setattr__(self, "_cdelta", None)  # the last CDeltaCheck
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
@@ -341,20 +342,23 @@ class DirectionResolver:
     of the direction vector in the vertex's reference chart.  On a chart
     representation every label of the chart's basis resolves as an arrow
     or a loop.  C_n and C_Sigma build a chart-less resolver and ask it for
-    arrows only, never reaching the expansion.  Each operator, and each
-    integer power of one, is built once per resolver.
+    arrows only, never reaching the expansion.  Each operator is built once
+    per resolver, and each integer power once per (operator, exponent), so
+    labels that resolve to one matrix share its powers.
     """
 
     def __init__(self, rep: Representation, fan: Fan, bases):
+        self._attach(rep, fan, bases, {}, {})
+
+    def _attach(self, rep: Representation, fan: Fan, bases, operators: dict, powers: dict):
         self.rep = rep
         self.fan = fan
         self.bases = bases
         self.vectors = {
             label: basis.column(label) for basis in bases.values() for label in basis.labels
         }
-        self._operators = {}
-        self._powers = {}
-        self.verdict = None  # the C_Delta violations, once cdelta_resolver has checked
+        self._operators = operators
+        self._powers = powers
 
     def operator(self, vertex: Vertex, label: int) -> RatMatrix:
         key = (vertex, label)
@@ -364,10 +368,10 @@ class DirectionResolver:
         return op
 
     def power(self, vertex: Vertex, label: int, k: int) -> RatMatrix:
-        key = (vertex, label, k)
+        key = (self.operator(vertex, label), k)
         op = self._powers.get(key)
         if op is None:
-            op = self._powers[key] = self.operator(vertex, label).power(k)
+            op = self._powers[key] = key[0].power(k)
         return op
 
     def _operator(self, vertex: Vertex, label: int) -> RatMatrix:
@@ -422,27 +426,49 @@ def validate_CDelta(
 ) -> List[Violation]:
     """Fan category: (i), (ii), loop coherence, and (iii) the monodromy
     relations between overlapping charts, over overlap_operators.
-    The verdict is computed once per (rep, fan, bases) by cdelta_resolver;
+    The verdict is computed once per (rep, fan, bases) by cdelta_check;
     each call returns a fresh list."""
     if bases is None:
         bases = chart_bases(fan)
-    return list(cdelta_resolver(rep, fan, bases).verdict)
+    return list(cdelta_check(rep, fan, bases).verdict)
 
 
-def cdelta_resolver(rep: Representation, fan: Fan, bases) -> DirectionResolver:
-    """The resolver of rep's C_Delta check, kept on rep itself with the
-    sorted violations in its ``verdict``: a repeat check against an equal
-    fan and equal bases returns the kept resolver.  Raises ValueError, and
-    keeps nothing, if rep is not over the fan quiver."""
-    memo = rep._cdelta
-    if memo is not None and memo.fan == fan and memo.bases == bases:
-        return memo
+class CDeltaCheck(NamedTuple):
+    """A C_Delta check, as its representation keeps it: the fan and bases
+    checked against, the sorted violations, and the operator and power
+    caches of the check's resolver.  It holds no reference to the
+    representation, so a checked representation is no reference cycle."""
+
+    fan: Fan
+    bases: dict
+    verdict: tuple
+    operators: dict
+    powers: dict
+
+    def resolver(self, rep: Representation) -> DirectionResolver:
+        """The resolver of rep over this check's fan, bases and caches, so
+        it builds no operator or power the check built; it skips
+        DirectionResolver.__init__, which starts empty caches."""
+        resolver = object.__new__(DirectionResolver)
+        resolver._attach(rep, self.fan, self.bases, self.operators, self.powers)
+        return resolver
+
+
+def cdelta_check(rep: Representation, fan: Fan, bases) -> CDeltaCheck:
+    """rep's C_Delta check against fan and bases, kept on rep: a repeat
+    check against an equal fan and equal bases returns the kept one.
+    Raises ValueError, and keeps nothing, if rep is not over the fan
+    quiver."""
+    check = rep._cdelta
+    if check is not None and check.fan == fan and check.bases == bases:
+        return check
     if rep.quiver != fan_quiver(fan, bases):
         raise ValueError("representation quiver does not match the fan quiver")
     resolver = DirectionResolver(rep, fan, dict(bases))
-    resolver.verdict = tuple(_check_CDelta(resolver))
-    object.__setattr__(rep, "_cdelta", resolver)
-    return resolver
+    verdict = tuple(_check_CDelta(resolver))
+    check = CDeltaCheck(fan, resolver.bases, verdict, resolver._operators, resolver._powers)
+    object.__setattr__(rep, "_cdelta", check)
+    return check
 
 
 def _check_CDelta(resolver: DirectionResolver) -> List[Violation]:
@@ -512,7 +538,9 @@ def _hom_system(a: Representation, b: Representation):
 
     phi_v is stored row-major from offsets[v].  Each arrow gives one row
     per entry (i, j) of phi_tgt.x_a - x_b.phi_src: x_a[k][j] multiplies
-    phi_tgt[i][k] and -x_b[i][k] multiplies phi_src[k][j].
+    phi_tgt[i][k] and -x_b[i][k] multiplies phi_src[k][j].  The rows are
+    assembled as integers over one denominator, the lcm of the arrow
+    maps' denominators.
     """
     offsets = {}
     total = 0
@@ -520,25 +548,26 @@ def _hom_system(a: Representation, b: Representation):
         offsets[vtx] = total
         total += b.dims[vtx] * a.dims[vtx]
 
-    rows: List[List[Fraction]] = []
-    for src, tgt, x_a, x_b in _arrow_maps(a, b):
-        n_src, n_tgt = a.dims[src], a.dims[tgt]
+    arrows = list(_arrow_maps(a, b))
+    den = lcm(*[x.den for _, _, x_a, x_b in arrows for x in (x_a, x_b)])
+    ints: List[int] = []
+    nrows = 0
+    for src, tgt, x_a, x_b in arrows:
+        n_src, n_tgt, b_src = a.dims[src], a.dims[tgt], b.dims[src]
         off_src = offsets[src]
-        x_a_cols = [x_a.col(j) for j in range(n_src)]
+        scale_a, scale_b = den // x_a.den, den // x_b.den
+        x_a_cols = [[x * scale_a for x in x_a.ints[j::n_src]] for j in range(n_src)]
         for i in range(b.dims[tgt]):
             start = offsets[tgt] + i * n_tgt
-            x_b_row = x_b.row(i)
+            x_b_row = x_b.ints[i * b_src : (i + 1) * b_src]
             for j in range(n_src):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 row[start : start + n_tgt] = x_a_cols[j]
                 for k, x in enumerate(x_b_row):
-                    row[off_src + k * n_src + j] -= x
-                rows.append(row)
-    if rows:
-        system = RatMatrix.from_rows(rows)
-    else:
-        system = RatMatrix.zeros(0, total)
-    return system, offsets, total
+                    row[off_src + k * n_src + j] -= x * scale_b
+                ints += row
+                nrows += 1
+    return RatMatrix.from_ints(nrows, total, den, ints), offsets, total
 
 
 def hom_basis(a: Representation, b: Representation) -> List[Morphism]:
@@ -552,8 +581,9 @@ def hom_basis(a: Representation, b: Representation) -> List[Morphism]:
         for vtx in a.quiver.vertices:
             rows_n, cols_n = b.dims[vtx], a.dims[vtx]
             off = offsets[vtx]
-            entries = [vec.entry(off + i, 0) for i in range(rows_n * cols_n)]
-            maps[vtx] = RatMatrix(rows_n, cols_n, entries)
+            maps[vtx] = RatMatrix.from_ints(
+                rows_n, cols_n, vec.den, vec.ints[off : off + rows_n * cols_n]
+            )
         out.append(Morphism(a, b, maps))
     return out
 

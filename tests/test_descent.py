@@ -1,5 +1,6 @@
 """Descent data: validation, gluing, and the section round trips."""
 
+import gc
 import itertools
 import json
 import pathlib
@@ -705,6 +706,21 @@ class TestReadOnlyAndVerdict:
         section(glued, d.fan, d.bases)
         assert [id(rep) for rep in checked] == [id(c) for c in d.charts.values()] + [id(glued)]
 
+    def test_a_checked_representation_is_freed_by_reference_counting(self):
+        """The C_Delta memo a representation keeps holds no reference back
+        to it, so dropping a checked representation leaves no cycle."""
+        d = p2_ok_datum()
+        gc.collect()
+        gc.disable()
+        try:
+            glued = glue(d)
+            assert validate_CDelta(glued, d.fan, d.bases) == []
+            assert glue(section(glued, d.fan, d.bases)) == glued
+            del glued
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_glue_routes_only_cross_owner_arrows_through_delta(self, monkeypatch):
         d, fan = p2_descent_from_rep()
         validate_descent(d)
@@ -814,6 +830,23 @@ class TestOneResolver:
         assert validate_CDelta(glued, d.fan, d.bases) == []
         assert powers and max(powers.values()) == 1
         assert max(monos.values()) == 1
+
+    def test_one_power_per_operator_and_exponent(self, monkeypatch):
+        """Labels whose operators are equal matrices share their powers:
+        on (P^1)^3 x C* the completion labels 7-14 of the eight charts
+        resolve to one operator at the origin."""
+        d = twisted_datum(product_fan(3, 1), 2, random.Random(7).choice)
+        glued = glue(d)
+        calls = []
+        real = RatMatrix.power
+
+        def power(self, k):
+            calls.append((self, k))
+            return real(self, k)
+
+        monkeypatch.setattr(RatMatrix, "power", power)
+        assert validate_CDelta(glued, d.fan, d.bases) == []
+        assert calls and len(calls) == len(set(calls))
 
     def test_section_inverts_no_identity_delta(self, monkeypatch):
         d = p2_ok_datum()
@@ -1239,6 +1272,21 @@ class TestChartBasesInJson:
         assert data["fan"]["bases"] == written
         back = descent_from_json(data)
         assert back.bases == d.bases and back == d
+
+    def test_json_rebuilds_no_chart_bases(self, monkeypatch):
+        d, written = override_section()
+        default = p2_ok_datum()
+        calls = []
+        real = descent.chart_bases
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(descent, "chart_bases", counting)
+        assert descent_to_json(d)["fan"]["bases"] == written
+        assert "bases" not in descent_to_json(default)["fan"]
+        assert calls == []
 
     def test_data_differing_only_in_bases_are_unequal(self):
         d, _ = override_section()

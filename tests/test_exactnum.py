@@ -1,6 +1,7 @@
 """Exact arithmetic backbone: products, inverses, nullspaces, lattice forms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from fanrep.exactnum import (
     format_rational,
     hermite_row_transform,
     invert,
+    is_primitive,
     mat_mul,
     parse_rational,
     rank,
@@ -482,3 +484,142 @@ def test_smith_from_hermite_matches_the_reference(a):
     assert d.shape == a.shape
     assert u.mul(a).mul(v) == d
     assert u.is_unimodular() and v.is_unimodular()
+
+
+# --- the stored form: one denominator and integer entries ---
+
+
+def assert_stored_form(m: RatMatrix):
+    """den > 0, gcd(den, *ints) = 1, and the entries view reads ints / den."""
+    assert m.den > 0 and gcd(m.den, *m.ints) == 1
+    assert m.ints == tuple(x * m.den for x in m.entries)
+    assert all(type(x) is int for x in m.ints)
+
+
+def fraction_rows(m: RatMatrix) -> list:
+    return [list(m.entries[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
+
+
+def test_zero_and_empty_matrices_have_denominator_one():
+    for shape in [(0, 0), (0, 3), (3, 0), (2, 2)]:
+        assert RatMatrix.zeros(*shape).den == 1
+        assert RatMatrix(*shape, [Fraction(0, 7)] * (shape[0] * shape[1])).den == 1
+    half = rat([[Fraction(1, 2), Fraction(1, 3)]])
+    assert (half.den, half.ints) == (6, (3, 2))
+    assert half.sub(half).den == 1 and half.scale(0).den == 1
+
+
+def test_from_ints_reduces_and_checks():
+    assert RatMatrix.from_ints(1, 2, -4, [2, 6]) == rat([[Fraction(-1, 2), Fraction(-3, 2)]])
+    assert RatMatrix.from_ints(0, 2, 5, []) == RatMatrix.zeros(0, 2)
+    with pytest.raises(ZeroDivisionError):
+        RatMatrix.from_ints(1, 1, 0, [1])
+    with pytest.raises(ValueError):
+        RatMatrix.from_ints(2, 2, 1, [1, 2, 3])
+    for value in (1.9, 2.0, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            RatMatrix.from_ints(1, 1, 1, [value])
+        with pytest.raises(TypeError):
+            RatMatrix.from_ints(1, 1, value, [1])
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_kernel_outputs_equal_and_hash_as_constructed_matrices(data):
+    """A matrix a kernel returns and the equal matrix built from its
+    Fractions by the public constructor, or from a multiple of its
+    integers, are ==, hash alike and store the same integers."""
+    a = data.draw(kernel_matrices())
+    b = data.draw(kernel_matrices(rows=a.cols))
+    k = data.draw(st.integers(min_value=1, max_value=10**6))
+    outputs = [mat_mul(a, b), a.transpose(), a.add(a), a.sub(a)] + solve_nullspace(a)
+    if a.is_invertible():
+        outputs.append(invert(a))
+    for got in outputs:
+        assert_stored_form(got)
+        built = RatMatrix(got.rows, got.cols, list(got.entries))
+        scaled = RatMatrix.from_ints(got.rows, got.cols, -k * got.den, [-k * x for x in got.ints])
+        for twin in (built, scaled):
+            assert twin == got and hash(twin) == hash(got)
+            assert (twin.den, twin.ints) == (got.den, got.ints)
+    assert (mat_mul(a, b) == ref.mat_mul(a, b)) and hash(mat_mul(a, b)) == hash(ref.mat_mul(a, b))
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_linear_operations_match_fraction_arithmetic(data):
+    """add, sub, scale, transpose, block_diag, is_identity and is_zero
+    against the same operation on the Fraction entries, 0 x k shapes and
+    denominators up to 10^6 included."""
+    a = data.draw(kernel_matrices())
+    b = data.draw(kernel_matrices(rows=a.rows, cols=a.cols))
+    c = data.draw(kernel_matrices())
+    x = data.draw(kernel_entries)
+    fa, fb = list(a.entries), list(b.entries)
+    cases = [
+        (a.add(b), a.rows, a.cols, [p + q for p, q in zip(fa, fb)]),
+        (a.sub(b), a.rows, a.cols, [p - q for p, q in zip(fa, fb)]),
+        (a.scale(x), a.rows, a.cols, [Fraction(x) * p for p in fa]),
+        (a.transpose(), a.cols, a.rows, [p for j in range(a.cols) for p in fa[j :: a.cols]]),
+        (
+            RatMatrix.block_diag(a, c),
+            a.rows + c.rows,
+            a.cols + c.cols,
+            [p for row in fraction_rows(a) for p in row + [0] * c.cols]
+            + [p for row in fraction_rows(c) for p in [0] * a.cols + row],
+        ),
+    ]
+    for got, rows, cols, want in cases:
+        assert_stored_form(got)
+        assert got.shape == (rows, cols)
+        assert got.entries == tuple(Fraction(p) for p in want)
+        assert all(type(p) is Fraction for p in got.entries)
+    unit = [Fraction(int(i == j)) for i in range(a.rows) for j in range(a.cols)]
+    assert a.is_identity() == (a.rows == a.cols and fa == unit)
+    assert a.is_zero() == all(p == 0 for p in fa)
+    assert RatMatrix.identity(a.rows).is_identity()
+    assert a.sub(a).is_zero() and RatMatrix.zeros(a.rows, a.cols) == a.sub(a)
+
+
+@given(kernel_matrices().filter(lambda m: m.rows > 0))
+@settings(max_examples=100)
+def test_json_parses_into_the_stored_form(a):
+    """from_json reads rational strings straight into (den, ints); a JSON
+    matrix with 0 rows has no column count, so those shapes are left out."""
+    back = RatMatrix.from_json(a.to_json(), "$")
+    assert_stored_form(back)
+    assert back == a and back.entries == a.entries
+    unreduced = [[f"{-2 * x.numerator}/{2 * x.denominator}" for x in row] for row in fraction_rows(a)]
+    assert RatMatrix.from_json(unreduced, "$") == a.scale(-1)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_kernels_leave_the_entries_view_unbuilt(data):
+    """mat_mul, invert, is_invertible and == read the stored integers; no
+    Fraction view is built on their operands or their results."""
+    n = data.draw(st.integers(min_value=0, max_value=4))
+
+    def draw_matrix():
+        den = data.draw(st.integers(min_value=1, max_value=10**6))
+        ints = data.draw(st.lists(small_entries, min_size=n * n, max_size=n * n))
+        return RatMatrix.from_ints(n, n, den, ints)
+
+    a, b = draw_matrix(), draw_matrix()
+    product = mat_mul(a, b)
+    results = [product, mat_mul(product, a)]
+    if a.is_invertible():
+        results += [invert(a), a.power(-3)]
+    assert product == mat_mul(a, b) and hash(product) == hash(mat_mul(a, b))
+    assert all(m._entries is None for m in [a, b] + results)
+    assert a.entries == tuple(Fraction(x, a.den) for x in a.ints)
+    assert a._entries is not None and b._entries is None
+
+
+@pytest.mark.parametrize("value", [1.9, 2.0])
+def test_lattice_helpers_reject_floats(value):
+    # int() would truncate 1.9 to 1 and take 2.0 as 2
+    with pytest.raises(TypeError):
+        complete_to_unimodular([[value, 0]], 2)
+    with pytest.raises(TypeError):
+        is_primitive([value, 3])

@@ -179,6 +179,13 @@ class TestChartBasis:
         b = chart_basis(fan, Cone((1,)), override)
         assert b.basis == override
 
+    def test_only_an_override_that_differs_from_the_default_is_flagged(self):
+        fan = c_cstar_fan()
+        cone = Cone((1,))
+        assert not chart_basis(fan, cone).override
+        assert not chart_basis(fan, cone, IntMatrix.identity(2)).override
+        assert chart_basis(fan, cone, IntMatrix.from_columns([(1, 0), (1, 1)])).override
+
     def test_override_must_keep_rays(self):
         fan = c_cstar_fan()
         bad = IntMatrix.from_columns([(1, 1), (0, 1)])

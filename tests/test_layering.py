@@ -105,3 +105,20 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{name}: {imported_name}" for imported_name in imported if imported_name not in used]
     assert unused == []
+
+
+def test_exactnum_builds_fractions_only_in_the_view_the_coercion_and_the_parser():
+    """A RatMatrix is one denominator and integer entries, so no kernel
+    scales Fraction rows back to integers (``_scaled`` is gone), and in
+    exactnum a Fraction is built only by the ``entries`` view, the scalar
+    coercion and parse_rational."""
+    scaled = [
+        name
+        for name, tree in modules().items()
+        for node in ast.walk(tree)
+        if "_scaled" in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert scaled == []
+    tree = modules()["exactnum"]
+    assert functions_calling(tree, "Rational") == []
+    assert functions_calling(tree, "Fraction") == ["RatMatrix.entries", "_as_fraction", "parse_rational"]
