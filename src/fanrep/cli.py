@@ -11,7 +11,6 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from .charts import CocycleError, check_cocycle, gluing_map
 from .descent import DescentError, descent_from_json, glue, validate_descent
@@ -86,8 +85,19 @@ def _load(path: str, parse, keep=()):
         raise ParseFailure(f"{path}: {exc}")
 
 
-def _violations_payload(violations) -> dict:
-    return {"violations": [v.to_json() for v in violations]}
+def _load_fan(path: str):
+    """The fan in path, which must pass validate_fan, and its chart bases
+    under the file's basis overrides.  A failing fan raises FanError."""
+    fan, overrides = _load(path, fan_from_json)
+    validate_fan(fan)
+    return fan, chart_bases(fan, overrides)
+
+
+def _verdict(violations) -> CommandResult:
+    """ok when violations is empty, else a violation result listing them."""
+    if violations:
+        return CommandResult("violation", {"violations": [v.to_json() for v in violations]})
+    return CommandResult("ok", {})
 
 
 def _single_violation(condition: str, detail: str) -> CommandResult:
@@ -97,8 +107,8 @@ def _single_violation(condition: str, detail: str) -> CommandResult:
     )
 
 
-def cmd_fan_validate(path: str) -> CommandResult:
-    fan, overrides = _load(path, fan_from_json)
+def cmd_fan_validate(args) -> CommandResult:
+    fan, _ = _load(args.path, fan_from_json)
     try:
         validate_fan(fan)
     except FanError as exc:
@@ -119,11 +129,9 @@ def cmd_fan_validate(path: str) -> CommandResult:
     return CommandResult("ok", {"smooth": smooth})
 
 
-def cmd_fan_dual(path: str) -> CommandResult:
-    fan, overrides = _load(path, fan_from_json)
+def cmd_fan_dual(args) -> CommandResult:
     try:
-        validate_fan(fan)
-        bases = chart_bases(fan, overrides)
+        fan, bases = _load_fan(args.path)
     except FanError as exc:
         return _single_violation(exc.axiom, exc.detail)
     duals = {}
@@ -137,11 +145,9 @@ def cmd_fan_dual(path: str) -> CommandResult:
     return CommandResult("ok", {"duals": duals})
 
 
-def cmd_fan_gluing(path: str) -> CommandResult:
-    fan, overrides = _load(path, fan_from_json)
+def cmd_fan_gluing(args) -> CommandResult:
     try:
-        validate_fan(fan)
-        bases = chart_bases(fan, overrides)
+        fan, bases = _load_fan(args.path)
         check_cocycle(fan, bases)
     except FanError as exc:
         return _single_violation(exc.axiom, exc.detail)
@@ -155,19 +161,18 @@ def cmd_fan_gluing(path: str) -> CommandResult:
     return CommandResult("ok", {"gluings": gluings, "cocycle": "ok"})
 
 
-def cmd_quiver_build(target: str, family: str) -> CommandResult:
+def cmd_quiver_build(args) -> CommandResult:
+    family = args.family
     if family == "fan":
-        fan, overrides = _load(target, fan_from_json)
         try:
-            validate_fan(fan)
-            quiver = fan_quiver(fan, chart_bases(fan, overrides))
+            quiver = fan_quiver(*_load_fan(args.target))
         except FanError as exc:
             return _single_violation(exc.axiom, exc.detail)
     else:
         try:
-            n = parse_digits(target, "n")
+            n = parse_digits(args.target, "n")
         except ValueError:
-            raise ParseFailure(f"--family {family} expects an integer, got {target!r}")
+            raise ParseFailure(f"--family {family} expects an integer, got {args.target!r}")
         try:
             if family == "hypercube":
                 quiver = hypercube_quiver(n)
@@ -178,44 +183,39 @@ def cmd_quiver_build(target: str, family: str) -> CommandResult:
     return CommandResult("ok", {"quiver": quiver_to_json(quiver)})
 
 
-def cmd_rep_validate(path: str, category: str, fan_path: Optional[str]) -> CommandResult:
-    if category == "cdelta":
-        if fan_path is None:
+def cmd_rep_validate(args) -> CommandResult:
+    if args.category == "cdelta":
+        if args.fan is None:
             raise ParseFailure("--category cdelta requires --fan")
-        fan, overrides = _load(fan_path, fan_from_json)
-        validate_fan(fan)
-        bases = chart_bases(fan, overrides)
+        fan, bases = _load_fan(args.fan)
         quiver = fan_quiver(fan, bases)
-        rep = _load(path, lambda data: rep_from_json(data, quiver=quiver), ShapeError)
+        rep = _load(args.path, lambda data: rep_from_json(data, quiver=quiver), ShapeError)
         violations = validate_CDelta(rep, fan, bases)
     else:
-        rep = _load(path, rep_from_json, ShapeError)
-        validator = {"cn": validate_Cn, "csigma": validate_CSigma}[category]
+        rep = _load(args.path, rep_from_json, ShapeError)
+        validator = {"cn": validate_Cn, "csigma": validate_CSigma}[args.category]
         violations = validator(rep)
-    if violations:
-        return CommandResult("violation", _violations_payload(violations))
-    return CommandResult("ok", {})
+    return _verdict(violations)
 
 
-def _load_rep_pair(path_a: str, path_b: str):
-    a = _load(path_a, rep_from_json, ShapeError)
-    b = _load(path_b, rep_from_json, ShapeError)
+def _load_rep_pair(args):
+    a = _load(args.path_a, rep_from_json, ShapeError)
+    b = _load(args.path_b, rep_from_json, ShapeError)
     if a.quiver != b.quiver:
         raise ParseFailure("representations live on different quivers")
     return a, b
 
 
-def cmd_rep_hom(path_a: str, path_b: str) -> CommandResult:
-    a, b = _load_rep_pair(path_a, path_b)
-    basis = hom_basis(a, b)
+def cmd_rep_hom(args) -> CommandResult:
+    basis = hom_basis(*_load_rep_pair(args))
     return CommandResult(
         "ok", {"dim": len(basis), "basis": [mor.to_json() for mor in basis]}
     )
 
 
-def cmd_rep_iso(path_a: str, path_b: str, seed: int, max_attempts: int) -> CommandResult:
-    a, b = _load_rep_pair(path_a, path_b)
-    result = are_isomorphic(a, b, seed=seed, max_attempts=max_attempts)
+def cmd_rep_iso(args) -> CommandResult:
+    a, b = _load_rep_pair(args)
+    result = are_isomorphic(a, b, seed=args.seed, max_attempts=args.max_attempts)
     payload = {"verdict": result.verdict, "reason": result.reason}
     if result.witness is not None:
         payload["witness"] = result.witness.to_json()
@@ -229,22 +229,18 @@ def _load_descent(path: str):
     return datum
 
 
-def cmd_descent_check(path: str) -> CommandResult:
-    datum = _load_descent(path)
-    violations = validate_descent(datum)
-    if violations:
-        return CommandResult("violation", _violations_payload(violations))
-    return CommandResult("ok", {})
+def cmd_descent_check(args) -> CommandResult:
+    return _verdict(validate_descent(_load_descent(args.path)))
 
 
-def cmd_descent_glue(path: str) -> CommandResult:
-    datum = _load_descent(path)
+def cmd_descent_glue(args) -> CommandResult:
+    datum = _load_descent(args.path)
     try:
         glued = glue(datum)
     except DescentError as exc:
         if not exc.violations:
             raise
-        return CommandResult("violation", _violations_payload(exc.violations))
+        return _verdict(exc.violations)
     self_check = validate_CDelta(glued, datum.fan, datum.bases)
     return CommandResult(
         "ok",
@@ -256,6 +252,8 @@ def cmd_descent_glue(path: str) -> CommandResult:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree.  Each subcommand binds its cmd_* function as
+    ``handler``, which run calls with the parsed namespace."""
     parser = argparse.ArgumentParser(
         prog="fanrep",
         description="Quiver-representation categories over fans, arrangements, "
@@ -263,67 +261,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="group", required=True)
 
-    fan = sub.add_parser("fan", help="fan validation, duality, gluing")
-    fan_sub = fan.add_subparsers(dest="command", required=True)
-    for name in ("validate", "dual", "gluing"):
+    def group(name: str, summary: str):
+        return sub.add_parser(name, help=summary).add_subparsers(dest="command", required=True)
+
+    fan_sub = group("fan", "fan validation, duality, gluing")
+    for name, handler in (
+        ("validate", cmd_fan_validate),
+        ("dual", cmd_fan_dual),
+        ("gluing", cmd_fan_gluing),
+    ):
         p = fan_sub.add_parser(name)
         p.add_argument("path", help="fan JSON file")
+        p.set_defaults(handler=handler)
 
-    quiver = sub.add_parser("quiver", help="quiver construction")
-    quiver_sub = quiver.add_subparsers(dest="command", required=True)
-    build = quiver_sub.add_parser("build")
+    build = group("quiver", "quiver construction").add_parser("build")
     build.add_argument("target", help="fan JSON file, or n for the other families")
-    build.add_argument(
-        "--family",
-        choices=["fan", "hypercube", "arrangement"],
-        default="fan",
-    )
+    build.add_argument("--family", choices=["fan", "hypercube", "arrangement"], default="fan")
+    build.set_defaults(handler=cmd_quiver_build)
 
-    rep = sub.add_parser("rep", help="representation validation and Hom")
-    rep_sub = rep.add_subparsers(dest="command", required=True)
+    rep_sub = group("rep", "representation validation and Hom")
     validate = rep_sub.add_parser("validate")
     validate.add_argument("path", help="representation JSON file")
     validate.add_argument("--category", choices=["cn", "csigma", "cdelta"], required=True)
     validate.add_argument("--fan", help="fan JSON file (required for cdelta)")
+    validate.set_defaults(handler=cmd_rep_validate)
     hom = rep_sub.add_parser("hom")
     hom.add_argument("path_a")
     hom.add_argument("path_b")
+    hom.set_defaults(handler=cmd_rep_hom)
     iso = rep_sub.add_parser("iso")
     iso.add_argument("path_a")
     iso.add_argument("path_b")
     iso.add_argument("--seed", type=int, default=0)
     iso.add_argument("--max-attempts", type=int, default=200)
+    iso.set_defaults(handler=cmd_rep_iso)
 
-    descent = sub.add_parser("descent", help="descent data checking and gluing")
-    descent_sub = descent.add_subparsers(dest="command", required=True)
-    for name in ("check", "glue"):
+    descent_sub = group("descent", "descent data checking and gluing")
+    for name, handler in (("check", cmd_descent_check), ("glue", cmd_descent_glue)):
         p = descent_sub.add_parser(name)
         p.add_argument("path", help="descent JSON file")
+        p.set_defaults(handler=handler)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def run(argv=None) -> CommandResult:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        if args.group == "fan":
-            return {
-                "validate": cmd_fan_validate,
-                "dual": cmd_fan_dual,
-                "gluing": cmd_fan_gluing,
-            }[args.command](args.path)
-        if args.group == "quiver":
-            return cmd_quiver_build(args.target, args.family)
-        if args.group == "rep":
-            if args.command == "validate":
-                return cmd_rep_validate(args.path, args.category, args.fan)
-            if args.command == "hom":
-                return cmd_rep_hom(args.path_a, args.path_b)
-            return cmd_rep_iso(args.path_a, args.path_b, args.seed, args.max_attempts)
-        if args.group == "descent":
-            if args.command == "check":
-                return cmd_descent_check(args.path)
-            return cmd_descent_glue(args.path)
+        return args.handler(args)
     except ParseFailure as exc:
         return CommandResult("error", {"error": "parse", "detail": exc.detail})
     except (FanError, NotCompletableError) as exc:
@@ -335,7 +323,6 @@ def run(argv=None) -> CommandResult:
     except ValueError as exc:
         # wrong quiver family for a validator, malformed structures, ...
         return CommandResult("error", {"error": "invalid-input", "detail": str(exc)})
-    raise AssertionError("unreachable command dispatch")
 
 
 def main(argv=None) -> int:

@@ -228,10 +228,11 @@ def _check_descent(d: DescentDatum) -> List[Violation]:
                 )
             )
 
-    # one pass per chart pair, over the edges of its whole overlap
+    # one pass per chart pair, over chart a's edges inside their overlap
     for a, b in itertools.combinations(tops, 2):
         ca, cb = d.charts[a], d.charts[b]
-        for edge in cube_quiver(sorted(set(a.ray_indices) & set(b.ray_indices))).arrow_pairs:
+        overlap = set(a.ray_indices) & set(b.ray_indices)
+        for edge in (e for e in ca.quiver.arrow_pairs if overlap.issuperset(e[1])):
             j, jp = edge
             dj, djp = d.delta(a, b, j), d.delta(a, b, jp)
             # djp^-1 . u_b . dj == u_a and dj^-1 . v_b . djp == v_a,

@@ -273,11 +273,16 @@ def chart_bases(fan: Fan, overrides: Optional[Dict[Cone, IntMatrix]] = None) -> 
     lexicographic order and labels count up from len(rays) + 1, so no two
     charts share a completion label.  A basis taken from ``overrides``
     that differs from the default completion is flagged ``override``.
+    An override on a cone that is not maximal raises FanError.
     """
     overrides = overrides or {}
+    tops = maximal_cones(fan)
+    stray = sorted(set(overrides).difference(tops))
+    if stray:
+        raise FanError("basis-override", f"basis for {stray[0].ray_indices} is not on a maximal cone")
     out = {}
     next_label = len(fan.rays) + 1
-    for cone in maximal_cones(fan):
+    for cone in tops:
         k = len(cone)
         labels = tuple(cone.ray_indices) + tuple(range(next_label, next_label + fan.dim - k))
         next_label += fan.dim - k

@@ -1,11 +1,15 @@
 """CLI: verdicts, exit codes, and bit-exact JSON round trips."""
 
+import argparse
+import gc
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
+from fanrep import cli
 from fanrep.cli import main, run
 from fanrep.descent import descent_from_json, descent_to_json
 from fanrep.geometry import fan_from_json, fan_to_json
@@ -346,6 +350,45 @@ def test_descent_fan_error_names_the_first_failing_axiom(tmp_path, capsys, comma
     assert payload["detail"] == "rays: ray 1 = (0, 0) is zero or not primitive"
 
 
+STRAY_OVERRIDES = [
+    # (command, the file that carries the fan, where its fan sits, expected exit and error)
+    (("fan", "dual"), "fan_p2.json", (), (1, None)),
+    (("fan", "gluing"), "fan_p2.json", (), (1, None)),
+    (("quiver", "build"), "fan_p2.json", (), (1, None)),
+    (("descent", "check"), "descent_p2_ok.json", ("fan",), (2, "fan")),
+    (("rep", "validate"), "fan_p2.json", (), (2, "fan")),
+]
+
+
+@pytest.mark.parametrize("key", ["1", "4,5"])
+@pytest.mark.parametrize(
+    "command,name,where,expected", STRAY_OVERRIDES, ids=[" ".join(c[0]) for c in STRAY_OVERRIDES]
+)
+def test_basis_override_off_a_maximal_cone_is_rejected(tmp_path, capsys, command, name, where, expected, key):
+    """A basis given for a cone that is not maximal (a ray of P2, or no
+    cone at all) is a basis-override failure, not silently dropped."""
+    data = json.loads((FIXTURES / name).read_text())
+    fan = data
+    for part in where:
+        fan = fan[part]
+    fan.setdefault("bases", {})[key] = [[1, 0], [0, 1]]
+    target = tmp_path / name
+    target.write_text(json.dumps(data))
+    argv = [*command, str(target)]
+    if command == ("quiver", "build"):
+        argv += ["--family", "fan"]
+    elif command == ("rep", "validate"):
+        argv = [*command, fx("rep_p1_ok.json"), "--category", "cdelta", "--fan", str(target)]
+    code, payload = invoke(capsys, *argv)
+    detail = f"basis for {tuple(int(i) for i in key.split(','))} is not on a maximal cone"
+    if expected[0] == 1:
+        assert code == 1
+        assert payload["violations"] == [{"condition": "basis-override", "location": [], "detail": detail}]
+    else:
+        assert (code, payload["error"]) == expected
+        assert payload["detail"] == f"basis-override: {detail}"
+
+
 def test_delta_key_must_have_three_parts(tmp_path, capsys):
     data = json.loads((FIXTURES / "descent_p2_ok.json").read_text())
     data["deltas"]["1,2|1,3"] = data["deltas"].pop("1,2|1,3|1")
@@ -484,3 +527,94 @@ def test_single_field_mutations_never_crash(tmp_path, monkeypatch):
         target.write_text(json.dumps(mutated))
         result = run([str(target) if arg == name else arg for arg in argv])
         assert result.exit_code in (0, 1, 2), (name, path, value, argv)
+
+
+def test_run_leaves_no_cyclic_garbage_and_builds_no_parser(monkeypatch):
+    """The parser is built once, on import, and a run leaves nothing for
+    the cyclic collector, on every golden command.  Only run is counted:
+    the indented JSON dump that main prints leaves garbage of its own."""
+    monkeypatch.chdir(FIXTURES)
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    left = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands():
+            run(argv)
+            found = gc.collect()
+            if found:
+                left[" ".join(argv)] = found
+    finally:
+        gc.enable()
+    assert left == {}
+    assert built == []
+
+
+def subcommands(parser):
+    """{name: subparser} of a parser's one subcommand level."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert action.required
+    return action.choices
+
+
+def command_tree(parser):
+    """{"group command": (positionals, {option: (dest, choices, default,
+    required)}, handler)} for every command of the parser."""
+    tree = {}
+    for group, group_parser in subcommands(parser).items():
+        for name, p in subcommands(group_parser).items():
+            actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            positionals = [a.dest for a in actions if not a.option_strings]
+            options = {
+                a.option_strings[0]: (a.dest, a.choices, a.default, a.required)
+                for a in actions
+                if a.option_strings
+            }
+            tree[f"{group} {name}"] = (positionals, options, p.get_default("handler"))
+    return tree
+
+
+def test_the_command_tree_is_pinned():
+    assert command_tree(cli.build_parser()) == {
+        "fan validate": (["path"], {}, cli.cmd_fan_validate),
+        "fan dual": (["path"], {}, cli.cmd_fan_dual),
+        "fan gluing": (["path"], {}, cli.cmd_fan_gluing),
+        "quiver build": (
+            ["target"],
+            {"--family": ("family", ["fan", "hypercube", "arrangement"], "fan", False)},
+            cli.cmd_quiver_build,
+        ),
+        "rep validate": (
+            ["path"],
+            {
+                "--category": ("category", ["cn", "csigma", "cdelta"], None, True),
+                "--fan": ("fan", None, None, False),
+            },
+            cli.cmd_rep_validate,
+        ),
+        "rep hom": (["path_a", "path_b"], {}, cli.cmd_rep_hom),
+        "rep iso": (
+            ["path_a", "path_b"],
+            {
+                "--seed": ("seed", None, 0, False),
+                "--max-attempts": ("max_attempts", None, 200, False),
+            },
+            cli.cmd_rep_iso,
+        ),
+        "descent check": (["path"], {}, cli.cmd_descent_check),
+        "descent glue": (["path"], {}, cli.cmd_descent_glue),
+    }
+
+
+def test_every_cmd_function_is_bound_to_exactly_one_command():
+    bound = Counter(handler.__name__ for _, _, handler in command_tree(cli.build_parser()).values())
+    defined = {name for name in vars(cli) if name.startswith("cmd_")}
+    assert set(bound) == defined
+    assert set(bound.values()) == {1}

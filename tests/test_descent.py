@@ -30,7 +30,7 @@ from fanrep.descent import (
 )
 from fanrep.exactnum import NotInvertibleError, RatMatrix, mat_mul
 from fanrep.geometry import Cone, Fan, chart_bases, fan_from_json, loop_reference, maximal_cones
-from fanrep.quivers import fan_quiver
+from fanrep.quivers import Quiver, fan_quiver
 from fanrep.reps import (
     DirectionResolver,
     Morphism,
@@ -1246,6 +1246,22 @@ def conjugation_data(draw):
 def test_conjugation_matches_the_reverse_delta_walk(d):
     got = [v for v in validate_descent(d) if v.condition == "conjugation"]
     assert got == sorted(ref.conjugation_violations(d), key=violation_sort_key)
+
+
+def test_validate_descent_builds_no_quiver(monkeypatch):
+    """The conjugation check walks each chart's own edges inside an
+    overlap instead of building the overlap's cube quiver."""
+    d = p2_ok_datum()
+    built = []
+    real_init = Quiver.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quiver, "__init__", init)
+    assert validate_descent(d) == []
+    assert built == []
 
 
 def override_section():
