@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -108,7 +109,7 @@ def _single_violation(condition: str, detail: str) -> CommandResult:
 
 
 def cmd_fan_validate(args) -> CommandResult:
-    fan, _ = _load(args.path, fan_from_json)
+    fan, overrides = _load(args.path, fan_from_json)
     try:
         validate_fan(fan)
     except FanError as exc:
@@ -126,6 +127,10 @@ def cmd_fan_validate(args) -> CommandResult:
                 ],
             },
         )
+    try:
+        chart_bases(fan, overrides)
+    except FanError as exc:
+        return _single_violation(exc.axiom, exc.detail)
     return CommandResult("ok", {"smooth": smooth})
 
 
@@ -332,6 +337,10 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    # a closed stdout ends the process by SIGPIPE, as it ends cat, and not
+    # by a BrokenPipeError whose exit status 1 reads as "violations found"
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -14,6 +14,10 @@ those integers: a product is an integer product over the product of the
 denominators, reduced by one gcd, and the eliminations are fraction-free
 over Z (Bareiss 1968).  Fractions are built only by the ``entries`` view,
 on its first read, and by the scalar coercion and ``parse_rational``.
+
+An IntMatrix is the den = 1 case of the same core: its product is the
+one ``mat_mul`` computes, and ``IntMatrix.is_unimodular``, a Bareiss
+determinant of +-1, is the one test of unimodularity.
 """
 
 from __future__ import annotations
@@ -194,14 +198,60 @@ def _bareiss_det(m: list) -> int:
 
 
 class _Matrix:
-    """Immutable dense matrix, entries in row-major order.  A subclass
-    stores its entries, gives them as the ``entries`` tuple and sets
-    ``_format``, the text of an entry in ``repr``."""
+    """Immutable dense matrix: ``ints`` / ``den``, with ``ints`` the integer
+    entries in row-major order.  A subclass gives the entries as the
+    ``entries`` tuple and sets ``_format``, the text of an entry in
+    ``repr``."""
 
     __slots__ = ("rows", "cols")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _store(self, rows: int, cols: int, den: int, ints: tuple):
+        """Set the fields and return self.  ints is a tuple of rows * cols
+        ints with gcd(den, *ints) = 1 and den > 0; an IntMatrix takes
+        den = 1 from its class."""
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "ints", ints)
+        if type(self) is RatMatrix:
+            object.__setattr__(self, "den", den)
+            object.__setattr__(self, "_entries", None)
+        return self
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, den: int, ints: tuple):
+        """The matrix stored as (den, ints), with the conditions of _store;
+        skips the coercion and checks of the public constructors."""
+        return object.__new__(cls)._store(rows, cols, den, ints)
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls._trusted(n, n, 1, _unit(n))
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.den == other.den
+            and self.ints == other.ints
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den, self.ints))
+
+    def transpose(self):
+        return self._trusted(self.cols, self.rows, self.den, _transposed(self.ints, self.cols))
+
+    def __matmul__(self, other):
+        return self.mul(other)
+
+    def _int_rows(self) -> list:
+        """The rows of den times the matrix, as integer tuples."""
+        c = self.cols
+        return [self.ints[i * c : (i + 1) * c] for i in range(self.rows)]
 
     @staticmethod
     def _check_shape(rows: int, cols: int, count: int) -> None:
@@ -241,11 +291,6 @@ class _Matrix:
         return f"{type(self).__name__}({self.rows}x{self.cols}: [{rows}])"
 
 
-def _rat(rows: int, cols: int, den: int, ints: tuple) -> "RatMatrix":
-    """The RatMatrix stored as (den, ints), which must already be reduced."""
-    return object.__new__(RatMatrix)._store(rows, cols, den, ints)
-
-
 def _reduced(rows: int, cols: int, den: int, ints) -> "RatMatrix":
     """The RatMatrix with entries ints[k] / den (den != 0), divided through
     by gcd(den, *ints) and the sign of den."""
@@ -281,14 +326,6 @@ class RatMatrix(_Matrix):
         den = lcm(*dens)
         self._store(rows, cols, den, tuple([x.numerator * (den // d) for x, d in zip(entries, dens)]))
 
-    def _store(self, rows: int, cols: int, den: int, ints: tuple) -> "RatMatrix":
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "_entries", None)
-        return self
-
     @classmethod
     def from_ints(cls, rows: int, cols: int, den: int, ints: Iterable[int]) -> "RatMatrix":
         """The rows x cols matrix with entry (i, j) = ints[i * cols + j] / den,
@@ -311,15 +348,6 @@ class RatMatrix(_Matrix):
             object.__setattr__(self, "_entries", view)
         return view
 
-    def _int_rows(self) -> list:
-        """The rows of den times the matrix, as integer tuples."""
-        c = self.cols
-        return [self.ints[i * c : (i + 1) * c] for i in range(self.rows)]
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return _rat(n, n, 1, _unit(n))
-
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         cls._check_shape(rows, cols, rows * cols)
@@ -329,21 +357,6 @@ class RatMatrix(_Matrix):
     def column(cls, values: Sequence) -> "RatMatrix":
         values = list(values)
         return cls(len(values), 1, values)
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is RatMatrix
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.den == other.den
-            and self.ints == other.ints
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.den, self.ints))
-
-    def transpose(self) -> "RatMatrix":
-        return _rat(self.cols, self.rows, self.den, _transposed(self.ints, self.cols))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -377,9 +390,6 @@ class RatMatrix(_Matrix):
         )
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
-        return mat_mul(self, other)
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         return mat_mul(self, other)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
@@ -451,6 +461,10 @@ class RatMatrix(_Matrix):
             ints += [0] * a.cols
             ints += [x * sb for x in row]
         return _reduced(a.rows + b.rows, a.cols + b.cols, den, ints)
+
+
+# the RatMatrix stored as (den, ints), which must already be reduced
+_rat = RatMatrix._trusted
 
 
 def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -563,42 +577,19 @@ def rank(a: RatMatrix) -> int:
 
 
 class IntMatrix(_Matrix):
-    """Immutable arbitrary-precision integer matrix; an entry must be an
-    int (``operator.index``), so a float raises TypeError."""
+    """Immutable arbitrary-precision integer matrix, the den = 1 case of
+    the core: ``entries`` is the stored tuple, and ``ints`` names the same
+    slot.  An entry must be an int (``operator.index``), so a float raises
+    TypeError."""
 
     __slots__ = ("entries",)
+    den = 1
     _format = str
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         entries = tuple(map(index, entries))
         self._check_shape(rows, cols, len(entries))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
-        """Matrix over a tuple of rows*cols ints built by this module; skips
-        the coercion and checks of the public constructor."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", rows)
-        object.__setattr__(matrix, "cols", cols)
-        object.__setattr__(matrix, "entries", entries)
-        return matrix
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls._trusted(n, n, _unit(n))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is IntMatrix and self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def transpose(self) -> "IntMatrix":
-        return self._trusted(self.cols, self.rows, _transposed(self.entries, self.cols))
-
+        self._store(rows, cols, 1, entries)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int = None) -> "IntMatrix":
@@ -612,28 +603,26 @@ class IntMatrix(_Matrix):
         return cls(nrows, k, [columns[j][i] for i in range(nrows) for j in range(k)])
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.shape} . {other.shape}")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                out.append(sum(self.entry(i, k) * other.entry(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
+        if type(other) is not IntMatrix:
+            raise TypeError(f"IntMatrix.mul needs an IntMatrix, got {type(other).__name__}")
+        return self._trusted(self.rows, other.cols, 1, mat_mul(self, other).ints)
 
     def det(self) -> int:
         """Exact determinant by Bareiss fraction-free elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return _bareiss_det(self.to_rows())
+        return _bareiss_det(self._int_rows())
 
     def is_unimodular(self) -> bool:
+        """Whether the matrix is square with |det| = 1: the one test of
+        unimodularity."""
         return self.rows == self.cols and abs(self.det()) == 1
 
     def to_rational(self) -> RatMatrix:
         return _rat(self.rows, self.cols, 1, self.entries)
+
+
+IntMatrix.ints = IntMatrix.entries
 
 
 def smith_normal_form(a: IntMatrix) -> tuple:
@@ -728,7 +717,7 @@ def hermite_row_transform(a: IntMatrix) -> tuple:
             pivots.append(c)
             pr += 1
     # H from its shape, not its row lists: a 0 x c input has no rows
-    h = IntMatrix._trusted(nr, nc, tuple(x for row in m for x in row))
+    h = IntMatrix._trusted(nr, nc, 1, tuple(x for row in m for x in row))
     return IntMatrix.from_rows(u), IntMatrix.from_rows(uinv), h, pivots
 
 
@@ -742,18 +731,18 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """
     if m.rows != m.cols:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, not square")
-    u, _, h, _ = hermite_row_transform(m)
-    if h != IntMatrix.identity(m.rows):
+    if not m.is_unimodular():
         raise ValueError("matrix is not unimodular (|det| != 1)")
-    return u
+    return hermite_row_transform(m)[0]
 
 
 def complete_to_unimodular(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
     """Extend k <= n integer vectors to the columns of a unimodular matrix.
 
-    The first k columns of the result are the inputs verbatim; the
-    completion columns are the preimages of the standard basis vectors
-    beyond the Hermite pivots, which makes the output deterministic.
+    The result is the inverse transform U^-1 of the row Hermite reduction
+    U.A = H of the matrix A whose columns are the inputs.  For a saturated
+    input H = [I_k; 0], so A = U^-1.H is the first k columns of U^-1: the
+    result starts with the inputs verbatim, and it is deterministic.
     Raises NotCompletableError when the inputs do not span a saturated
     rank-k sublattice of Z^n.
     """
@@ -764,10 +753,7 @@ def complete_to_unimodular(vectors: Sequence[Sequence[int]], n: int) -> IntMatri
     for vec in vectors:
         if len(vec) != n:
             raise ValueError(f"vector {vec} is not {n}-dimensional")
-    if k == 0:
-        return IntMatrix.identity(n)
-    a = IntMatrix.from_columns(vectors, n)
-    _, uinv, h, pivots = hermite_row_transform(a)
+    _, uinv, h, pivots = hermite_row_transform(IntMatrix.from_columns(vectors, n))
     if len(pivots) < k:
         raise NotCompletableError("vectors are linearly dependent")
     for r in range(k):
@@ -776,22 +762,12 @@ def complete_to_unimodular(vectors: Sequence[Sequence[int]], n: int) -> IntMatri
                 "vectors span a non-saturated sublattice "
                 f"(Hermite pivot {h.entry(r, pivots[r])} != 1)"
             )
-    columns = list(vectors)
-    for j in range(k, n):
-        columns.append(uinv.col(j))
-    out = IntMatrix.from_columns(columns, n)
-    if abs(out.det()) != 1:
+    if not uinv.is_unimodular():
         raise AssertionError("completion is not unimodular; this is a bug")
-    return out
+    return uinv
 
 
 def is_primitive(vec: Sequence[int]) -> bool:
     """True iff the integer vector is nonzero with coprime entries; an
     entry that is not an int (``operator.index``) raises TypeError."""
-    vec = tuple(map(index, vec))
-    if all(x == 0 for x in vec):
-        return False
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g == 1
+    return gcd(*map(index, vec)) == 1

@@ -308,7 +308,7 @@ def _validated_override(fan: Fan, cone: Cone, override: IntMatrix) -> None:
             "basis-override",
             f"basis for {cone.ray_indices} must be {fan.dim}x{fan.dim}, got {override.shape}",
         )
-    if abs(override.det()) != 1:
+    if not override.is_unimodular():
         raise FanError("basis-override", f"basis for {cone.ray_indices} has |det| != 1")
     for j, i in enumerate(cone.ray_indices):
         if override.col(j) != fan.ray_vector(i):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import index
-from typing import Dict, Iterable, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .exactnum import check_keys, parse_digits, parse_ints, parse_object
 from .geometry import Cone, Fan, chart_bases, loop_reference, subsets
@@ -52,7 +53,7 @@ class Quiver:
 
     vertices: Tuple[Vertex, ...]
     arrow_pairs: Tuple[Edge, ...]
-    loops: Dict[Vertex, Tuple[int, ...]]
+    loops: Mapping[Vertex, Tuple[int, ...]]
 
     def __init__(self, vertices, arrow_pairs, loops=None):
         vertices = tuple(sorted((_vertex(v) for v in vertices), key=_vertex_sort_key))
@@ -82,7 +83,7 @@ class Quiver:
             raise ValueError(f"loops at unknown vertices: {sorted(loops)}")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "arrow_pairs", pairs)
-        object.__setattr__(self, "loops", norm_loops)
+        object.__setattr__(self, "loops", MappingProxyType(norm_loops))
         # not a dataclass field, so equality still compares arrow_pairs only
         object.__setattr__(self, "_pair_set", frozenset(pairs))
 

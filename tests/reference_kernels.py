@@ -46,6 +46,13 @@ row and column operations and divisibility repair that
 ``fanrep.exactnum`` had before the Smith form came from alternating
 Hermite reductions.  D is unique, so both must give the same D (this one
 builds D from its row lists, so a 0 x c input gives a 0 x 0 D).
+
+``int_mul`` is the triple loop through ``entry()`` that ``IntMatrix.mul``
+was before it read its integers from ``mat_mul``.  ``check_cocycle`` is
+the walk ``fanrep.charts`` made over every ordered pair and every ordered
+triple of maximal charts before it walked the pairs through the first
+maximal chart; it composes with ``compose``, ``charts.compose`` over
+``int_mul``.  Both walks must raise ``CocycleError`` on the same inputs.
 """
 
 import itertools
@@ -54,7 +61,7 @@ from typing import Dict, List
 
 from hypothesis import strategies as st
 
-from fanrep.charts import stratum_loop_exponents
+from fanrep.charts import CocycleError, MonomialMap, gluing_map, stratum_loop_exponents
 from fanrep.descent import DescentError, validate_descent
 from fanrep.exactnum import IntMatrix, NotInvertibleError, RatMatrix
 from fanrep.geometry import ChartBasis, Cone, cone_key, loop_reference, maximal_cones
@@ -245,10 +252,10 @@ def basis_coordinates(basis, vector) -> dict:
 
 
 @st.composite
-def unimodular_matrices(draw, max_dim=4):
+def unimodular_matrices(draw, max_dim=4, min_dim=1):
     """A product of elementary integer matrices (row additions, swaps and
-    negations) of size 1..max_dim."""
-    n = draw(st.integers(min_value=1, max_value=max_dim))
+    negations) of size min_dim..max_dim."""
+    n = draw(st.integers(min_value=min_dim, max_value=max_dim))
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     index = st.integers(min_value=0, max_value=n - 1)
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
@@ -551,3 +558,49 @@ def smith_normal_form(a: IntMatrix) -> tuple:
             row_neg(t)
         t += 1
     return IntMatrix.from_rows(u), IntMatrix.from_rows(m), IntMatrix.from_rows(v)
+
+
+def int_mul(self: IntMatrix, other: IntMatrix) -> IntMatrix:
+    if self.cols != other.rows:
+        raise ValueError(f"shape mismatch: {self.shape} . {other.shape}")
+    out = []
+    for i in range(self.rows):
+        for j in range(other.cols):
+            out.append(sum(self.entry(i, k) * other.entry(k, j) for k in range(self.cols)))
+    return IntMatrix(self.rows, other.cols, out)
+
+
+def compose(m1: MonomialMap, m2: MonomialMap) -> MonomialMap:
+    """Composite monomial map, applying m2 first and then m1."""
+    if m1.dim != m2.dim:
+        raise ValueError(f"dimension mismatch: {m1.dim} vs {m2.dim}")
+    return MonomialMap(int_mul(m1.exponents, m2.exponents))
+
+
+def check_cocycle(fan, bases: Dict[Cone, ChartBasis]) -> None:
+    """Verify h_IJ then h_JK equals h_IK on every ordered maximal triple.
+
+    Holds identically for bases produced by chart_bases (matrix
+    associativity); kept as a regression guard on index bookkeeping and
+    on user-supplied basis overrides.
+    """
+    tops = maximal_cones(fan)
+    glue = {
+        (a, b): gluing_map(bases[a], bases[b])
+        for a, b in itertools.product(tops, repeat=2)
+    }
+    for i, j in itertools.product(tops, repeat=2):
+        pair = compose(glue[j, i], glue[i, j])
+        if not pair.is_identity():
+            raise CocycleError(
+                (i, j),
+                f"transition {i.ray_indices}->{j.ray_indices} composed with its "
+                "reverse is not the identity",
+            )
+    for i, j, k in itertools.product(tops, repeat=3):
+        left = compose(glue[j, k], glue[i, j])
+        if left.exponents != glue[i, k].exponents:
+            raise CocycleError(
+                (i, j, k),
+                f"cocycle fails on ({i.ray_indices}, {j.ray_indices}, {k.ray_indices})",
+            )

@@ -1,9 +1,12 @@
 """Chart transitions: gluing exponents, cocycles, loop transport."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
+from fanrep import charts
 from fanrep.charts import (
     CocycleError,
     IllPosedError,
@@ -14,7 +17,7 @@ from fanrep.charts import (
     gluing_map,
     stratum_loop_exponents,
 )
-from fanrep.exactnum import IntMatrix
+from fanrep.exactnum import IntMatrix, unimodular_inverse
 from fanrep.geometry import ChartBasis, Cone, Fan, chart_bases, maximal_cones
 
 
@@ -96,6 +99,86 @@ class TestCocycle:
         fan = Fan(2, [(1, 0), (-1, 0)], [(), (1,), (2,)])
         overrides = {Cone((1,)): IntMatrix.from_columns([(1, 0), (3, 1)])}
         check_cocycle(fan, chart_bases(fan, overrides))
+
+
+def p1_cubed_setup():
+    """(P1)^3: ray 2k + 1 is e_k and ray 2k + 2 is -e_k, and a cone takes at
+    most one ray of each pair, so there are 8 maximal charts."""
+    rays = [tuple(s * int(i == k) for i in range(3)) for k in range(3) for s in (1, -1)]
+    cones = [
+        c
+        for r in range(4)
+        for c in itertools.combinations(range(1, 7), r)
+        if len({(i - 1) // 2 for i in c}) == r
+    ]
+    fan = Fan(3, rays, cones)
+    return fan, chart_bases(fan)
+
+
+def test_cocycle_walk_composes_once_per_chart_pair(monkeypatch):
+    """The walk through the first chart makes m^2 compositions on m charts;
+    the pair and triple walks made m^2 + m^3 (576 on (P1)^3)."""
+    fan, bases = p1_cubed_setup()
+    assert len(maximal_cones(fan)) == 8
+    calls = []
+
+    def counting(m1, m2):
+        calls.append((m1, m2))
+        return compose(m1, m2)
+
+    monkeypatch.setattr(charts, "compose", counting)
+    check_cocycle(fan, bases)
+    assert len(calls) <= 64
+
+
+@st.composite
+def transition_families(draw):
+    """Transitions h_ab between 1-4 charts, unimodular of one dimension 1-3:
+    the cocycle h_ab = B_b^-1.B_a, or, half the time, that family with one
+    map replaced by another unimodular matrix."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    tops = [Cone((k,)) for k in range(1, draw(st.integers(min_value=1, max_value=4)) + 1)]
+    unimodular = ref.unimodular_matrices(min_dim=n, max_dim=n)
+    b = {c: draw(unimodular) for c in tops}
+    family = {(i, j): unimodular_inverse(b[j]).mul(b[i]) for i, j in itertools.product(tops, repeat=2)}
+    if draw(st.booleans()):
+        family[draw(st.sampled_from(sorted(family)))] = draw(unimodular)
+    return Fan(n, [], [(), *(c.ray_indices for c in tops)]), family
+
+
+def cocycle_raises(check, fan, family) -> tuple:
+    """(whether check raised CocycleError, the triple it named), with
+    gluing_map reading family and each chart cone standing for its basis."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (charts, ref):
+            mp.setattr(module, "gluing_map", lambda k, kp: MonomialMap(family[k, kp]))
+        try:
+            check(fan, {c: c for c in maximal_cones(fan)})
+        except CocycleError as exc:
+            return True, exc.triple
+    return False, None
+
+
+@given(transition_families())
+@settings(max_examples=400)
+def test_cocycle_walk_matches_the_pair_and_triple_walks(case):
+    fan, family = case
+    raised, triple = cocycle_raises(check_cocycle, fan, family)
+    assert raised == cocycle_raises(ref.check_cocycle, fan, family)[0]
+    if raised:
+        i, j, k = triple
+        assert ref.int_mul(family[j, k], family[i, j]) != family[i, k]
+
+
+def test_cocycle_walk_checks_each_transition_to_itself():
+    """h_IJ = h_OJ.h_IO on every pair, but h_JO.h_OJ = h_JJ = -1: only the
+    triple (J, J, J) fails, and the walk names it."""
+    o, j = Cone((1,)), Cone((2,))
+    minus, plus = IntMatrix.from_rows([[-1]]), IntMatrix.identity(1)
+    family = {(o, o): plus, (o, j): plus, (j, o): minus, (j, j): minus}
+    fan = Fan(1, [], [(), (1,), (2,)])
+    assert cocycle_raises(check_cocycle, fan, family) == (True, (j, j, j))
+    assert cocycle_raises(ref.check_cocycle, fan, family)[0]
 
 
 class TestStratumLoopExponents:

@@ -3,8 +3,12 @@
 import argparse
 import gc
 import json
+import os
 import pathlib
 import random
+import signal
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -352,6 +356,7 @@ def test_descent_fan_error_names_the_first_failing_axiom(tmp_path, capsys, comma
 
 STRAY_OVERRIDES = [
     # (command, the file that carries the fan, where its fan sits, expected exit and error)
+    (("fan", "validate"), "fan_p2.json", (), (1, None)),
     (("fan", "dual"), "fan_p2.json", (), (1, None)),
     (("fan", "gluing"), "fan_p2.json", (), (1, None)),
     (("quiver", "build"), "fan_p2.json", (), (1, None)),
@@ -387,6 +392,43 @@ def test_basis_override_off_a_maximal_cone_is_rejected(tmp_path, capsys, command
     else:
         assert (code, payload["error"]) == expected
         assert payload["detail"] == f"basis-override: {detail}"
+
+
+@pytest.mark.parametrize("command", ["validate", "dual"])
+def test_basis_override_that_is_not_unimodular_is_one_violation(tmp_path, capsys, command):
+    """fan validate checks the chart bases under the file's overrides, and
+    reports a bad one as the same violation fan dual does."""
+    data = json.loads((FIXTURES / "fan_p2.json").read_text())
+    data["bases"] = {"1,2": [[2, 0], [0, 1]]}
+    target = tmp_path / "fan.json"
+    target.write_text(json.dumps(data))
+    code, payload = invoke(capsys, "fan", command, str(target))
+    assert code == 1
+    assert payload["violations"] == [
+        {"condition": "basis-override", "location": [], "detail": "basis for (1, 2) has |det| != 1"}
+    ]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_process_without_a_verdict_code():
+    """A reader that closed its end of the pipe ends fanrep by SIGPIPE, not
+    by a BrokenPipeError traceback and exit 1, the "violations found" code."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanrep", "fan", "validate", fx("fan_p2.json")],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode not in (0, 1)
+    assert b"Traceback" not in proc.stderr
 
 
 def test_delta_key_must_have_three_parts(tmp_path, capsys):

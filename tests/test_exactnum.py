@@ -400,6 +400,51 @@ def test_nullspace_and_rank_match_reference(a):
     assert rank(a) == ref.rank(a)
 
 
+@st.composite
+def int_matrix_pairs(draw):
+    """(a, b) of shapes 0-4 x 0-4; b.rows is a.cols, or any row count."""
+    dims = st.integers(min_value=0, max_value=4)
+    r, k, c = draw(dims), draw(dims), draw(dims)
+    k2 = draw(st.one_of(st.just(k), dims))
+    a = IntMatrix(r, k, draw(st.lists(small_entries, min_size=r * k, max_size=r * k)))
+    b = IntMatrix(k2, c, draw(st.lists(small_entries, min_size=k2 * c, max_size=k2 * c)))
+    return a, b
+
+
+def stored(m: IntMatrix) -> tuple:
+    return type(m), m.shape, m.entries
+
+
+@given(int_matrix_pairs())
+@settings(max_examples=300)
+def test_int_matrix_core_matches_reference(pair):
+    a, b = pair
+    if a.cols == b.rows:
+        assert stored(a.mul(b)) == stored(a @ b) == stored(ref.int_mul(a, b))
+    else:
+        with pytest.raises(ValueError):
+            a.mul(b)
+    cells = [(i, j) for j in range(a.cols) for i in range(a.rows)]
+    assert stored(a.transpose()) == stored(IntMatrix(a.cols, a.rows, [a.entry(i, j) for i, j in cells]))
+    n = a.rows
+    assert stored(IntMatrix.identity(n)) == stored(IntMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)]))
+    copy = IntMatrix(a.rows, a.cols, list(a.entries))
+    assert copy == a and hash(copy) == hash(a)
+    assert (a == b) == (stored(a) == stored(b))
+    assert a != a.to_rational()
+    if a.rows == a.cols:
+        want = ref.det(a.to_rational())
+        assert a.det() == want
+        assert a.is_unimodular() == (abs(want) == 1)
+    else:
+        assert not a.is_unimodular()
+
+
+def test_int_matrix_mul_needs_an_int_matrix():
+    with pytest.raises(TypeError):
+        IntMatrix.identity(2).mul(IntMatrix.identity(2).to_rational())
+
+
 @given(int_matrices(max_dim=4))
 def test_int_det_matches_reference(a):
     if a.rows == a.cols:

@@ -151,6 +151,14 @@ class TestEdgeLookup:
         assert Quiver(q.vertices, reversed(q.arrow_pairs)) == q
 
 
+def test_loops_are_read_only():
+    """A quiver's loops cannot change under a representation that was
+    already validated against it."""
+    q = fan_quiver(Fan(2, [(1, 0)], [(), (1,)]))
+    with pytest.raises(TypeError):
+        q.loops[()] = ()
+
+
 @given(st.integers(min_value=0, max_value=4))
 def test_edges_differ_by_one_index(n):
     q = hypercube_quiver(n)
