@@ -11,7 +11,6 @@ from .exactnum import (
     complete_to_unimodular,
     invert,
     mat_mul,
-    smith_normal_form,
     solve_nullspace,
 )
 from .geometry import (
@@ -21,7 +20,6 @@ from .geometry import (
     FanError,
     Ray,
     chart_bases,
-    chart_basis,
     dual_cone_smooth,
     fan_from_json,
     fan_to_json,

@@ -59,9 +59,6 @@ class MonomialMap:
     def is_identity(self) -> bool:
         return self.exponents == IntMatrix.identity(self.dim)
 
-    def inverse(self) -> "MonomialMap":
-        return MonomialMap(unimodular_inverse(self.exponents))
-
 
 def basis_coordinates(basis: ChartBasis, vector: Sequence[int]) -> Dict[int, int]:
     """Exact coordinates of an integer vector in a chart basis, by label."""

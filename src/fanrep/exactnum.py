@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import gcd, lcm
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -48,7 +47,6 @@ __all__ = [
     "mat_mul",
     "invert",
     "solve_nullspace",
-    "smith_normal_form",
     "hermite_row_transform",
     "unimodular_inverse",
     "complete_to_unimodular",
@@ -245,9 +243,6 @@ class _Matrix:
     def transpose(self):
         return self._trusted(self.cols, self.rows, self.den, _transposed(self.ints, self.cols))
 
-    def __matmul__(self, other):
-        return self.mul(other)
-
     def _int_rows(self) -> list:
         """The rows of den times the matrix, as integer tuples."""
         c = self.cols
@@ -353,16 +348,8 @@ class RatMatrix(_Matrix):
         cls._check_shape(rows, cols, rows * cols)
         return _rat(rows, cols, 1, (0,) * (rows * cols))
 
-    @classmethod
-    def column(cls, values: Sequence) -> "RatMatrix":
-        values = list(values)
-        return cls(len(values), 1, values)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_zero(self) -> bool:
-        return not any(self.ints)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self.den == 1 and self.ints == _unit(self.rows)
@@ -391,12 +378,6 @@ class RatMatrix(_Matrix):
 
     def mul(self, other: "RatMatrix") -> "RatMatrix":
         return mat_mul(self, other)
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return self.add(other)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self.sub(other)
 
     def invert(self) -> "RatMatrix":
         return invert(self)
@@ -618,43 +599,8 @@ class IntMatrix(_Matrix):
         unimodularity."""
         return self.rows == self.cols and abs(self.det()) == 1
 
-    def to_rational(self) -> RatMatrix:
-        return _rat(self.rows, self.cols, 1, self.entries)
-
 
 IntMatrix.ints = IntMatrix.entries
-
-
-def smith_normal_form(a: IntMatrix) -> tuple:
-    """Smith normal form: returns (U, D, V) with U.a.V = D exactly.
-
-    U and V are unimodular; D has the shape of a, is diagonal with
-    non-negative entries and d_i | d_{i+1}.
-
-    Computed by alternating row Hermite reductions of m and m^T (Kannan
-    and Bachem 1979) until m is diagonal.  This terminates: a
-    row-then-column round either clears the first row and column of the
-    unfinished block, or lowers its leading entry to a proper divisor.
-    When a diagonal pair has d_i not dividing d_j, column j is added to
-    column i, and the next round lowers d_i to gcd(d_i, d_j) < d_i (and
-    d_j to the lcm).
-    """
-    u, m, v = IntMatrix.identity(a.rows), a, IntMatrix.identity(a.cols)
-    while True:
-        row_u, _, m, _ = hermite_row_transform(m)
-        col_u, _, mt, _ = hermite_row_transform(m.transpose())
-        m, u, v = mt.transpose(), row_u.mul(u), v.mul(col_u.transpose())
-        if any(m.entry(i, j) for i in range(m.rows) for j in range(m.cols) if i != j):
-            continue
-        diag = [m.entry(i, i) for i in range(min(m.shape))]
-        pairs = [(i, j) for i, j in combinations(range(len(diag)), 2) if diag[i] and diag[j] % diag[i]]
-        if not pairs:
-            return u, m, v
-        i, j = pairs[0]
-        # add column j to column i: multiply by I + E_ji on the right
-        n = m.cols
-        mix = IntMatrix(n, n, [int(r == c or (r, c) == (j, i)) for r in range(n) for c in range(n)])
-        m, v = m.mul(mix), v.mul(mix)
 
 
 def hermite_row_transform(a: IntMatrix) -> tuple:

@@ -38,7 +38,6 @@ __all__ = [
     "is_smooth",
     "dual_cone_smooth",
     "maximal_cones",
-    "chart_basis",
     "chart_bases",
     "loop_reference",
     "fan_to_json",
@@ -316,14 +315,6 @@ def _validated_override(fan: Fan, cone: Cone, override: IntMatrix) -> None:
                 "basis-override",
                 f"column {j} of the basis for {cone.ray_indices} must equal ray {i}",
             )
-
-
-def chart_basis(fan: Fan, cone: Cone, override: Optional[IntMatrix] = None) -> ChartBasis:
-    """Chart basis for one maximal cone (deterministic unless overridden)."""
-    if cone not in maximal_cones(fan):
-        raise FanError("unknown-cone", f"{cone.ray_indices} is not a maximal cone")
-    overrides = {cone: override} if override is not None else None
-    return chart_bases(fan, overrides)[cone]
 
 
 def cone_key(cone: Cone) -> str:

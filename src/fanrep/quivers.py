@@ -104,8 +104,6 @@ class Quiver:
         for high in self.vertices:
             for p, q in itertools.combinations(high, 2):
                 base = tuple(i for i in high if i not in (p, q))
-                if len(base) != len(high) - 2:
-                    continue
                 if (
                     tuple(sorted(base + (p,))) in vset
                     and tuple(sorted(base + (q,))) in vset
@@ -113,9 +111,6 @@ class Quiver:
                 ):
                     out.append((base, p, q))
         return sorted(out)
-
-    def total_loops(self) -> int:
-        return sum(len(labels) for labels in self.loops.values())
 
 
 def cube_quiver(indices, loop_labels=()) -> Quiver:

@@ -41,11 +41,13 @@ direction itself, before the two shared one operator stream.
 delta(K', K, J').u_K'.delta(K, K', J) == u_K; the check multiplied
 through by delta(K, K', J') must give the same violations.
 
-``smith_normal_form`` is the elimination with its own pivot search,
-row and column operations and divisibility repair that
-``fanrep.exactnum`` had before the Smith form came from alternating
-Hermite reductions.  D is unique, so both must give the same D (this one
-builds D from its row lists, so a 0 x c input gives a 0 x 0 D).
+``smith_normal_form`` is the saturation oracle of the completion test:
+k integer vectors extend to a basis of Z^n exactly when the Smith form
+of the n x k matrix they make has k diagonal entries equal to 1.  It is
+the elimination with its own pivot search, row and column operations
+and divisibility repair that ``fanrep.exactnum`` once had; the package
+no longer computes a Smith form.  It builds D from its row lists, so a
+0 x c input gives a 0 x 0 D.
 
 ``int_mul`` is the triple loop through ``entry()`` that ``IntMatrix.mul``
 was before it read its integers from ``mat_mul``.  ``check_cocycle`` is
@@ -149,7 +151,7 @@ def solve_nullspace(a: RatMatrix) -> list:
         vec[f] = Fraction(1)
         for r, c in enumerate(pivots):
             vec[c] = -m[r][f]
-        basis.append(RatMatrix.column(vec))
+        basis.append(RatMatrix(n, 1, vec))
     return basis
 
 
@@ -242,7 +244,8 @@ def basis_coordinates(basis, vector) -> dict:
     vector = list(vector)
     if len(vector) != basis.basis.rows:
         raise ValueError(f"vector {vector} is not {basis.basis.rows}-dimensional")
-    coords = mat_mul(invert(basis.basis.to_rational()), RatMatrix.column(vector))
+    b = basis.basis
+    coords = mat_mul(invert(RatMatrix(b.rows, b.cols, b.entries)), RatMatrix(len(vector), 1, vector))
     out = {}
     for label, value in zip(basis.labels, coords.entries):
         if value.denominator != 1:

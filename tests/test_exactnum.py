@@ -20,7 +20,6 @@ from fanrep.exactnum import (
     mat_mul,
     parse_rational,
     rank,
-    smith_normal_form,
     solve_nullspace,
     unimodular_inverse,
 )
@@ -56,7 +55,7 @@ class TestIntMatrix:
 
     def test_never_equal_to_a_rational_matrix(self):
         a = IntMatrix.identity(2)
-        assert a.to_rational() == RatMatrix.identity(2)
+        assert RatMatrix(2, 2, a.entries) == RatMatrix.identity(2)
         assert a != RatMatrix.identity(2) and RatMatrix.identity(2) != a
         assert repr(a) == "IntMatrix(2x2: [1 0; 0 1])"
 
@@ -112,31 +111,16 @@ class TestNullspace:
 
     def test_zero_map(self):
         basis = solve_nullspace(RatMatrix.zeros(1, 2))
-        assert basis == [RatMatrix.column([1, 0]), RatMatrix.column([0, 1])]
+        assert basis == [RatMatrix(2, 1, [1, 0]), RatMatrix(2, 1, [0, 1])]
 
     def test_hand_solve(self):
         basis = solve_nullspace(rat([[1, -1]]))
-        assert basis == [RatMatrix.column([1, 1])]
+        assert basis == [RatMatrix(2, 1, [1, 1])]
 
     def test_members_are_in_kernel(self):
         a = rat([[2, 1, 3], [4, 2, 6]])
         for vec in solve_nullspace(a):
-            assert mat_mul(a, vec).is_zero()
-
-
-class TestSmith:
-    def test_identity(self):
-        _, d, _ = smith_normal_form(IntMatrix.identity(2))
-        assert d == IntMatrix.identity(2)
-
-    def test_hand_elimination(self):
-        _, d, _ = smith_normal_form(IntMatrix.from_rows([[1, 1], [0, 2]]))
-        assert d == IntMatrix.from_rows([[1, 0], [0, 2]])
-
-    def test_degenerate_columns(self):
-        u, d, v = smith_normal_form(IntMatrix(2, 0, []))
-        assert d.shape == (2, 0)
-        assert u.is_unimodular() and v.shape == (0, 0)
+            assert mat_mul(a, vec) == RatMatrix.zeros(2, 1)
 
 
 class TestCompleteToUnimodular:
@@ -187,25 +171,6 @@ def rat_matrices(draw, rows, cols, entries=small_entries):
     return RatMatrix(rows, cols, data)
 
 
-@given(int_matrices())
-def test_snf_properties(a):
-    u, d, v = smith_normal_form(a)
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
-    assert u.mul(a).mul(v) == d
-    diag = [d.entry(i, i) for i in range(min(d.rows, d.cols))]
-    assert all(x >= 0 for x in diag)
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j:
-                assert d.entry(i, j) == 0
-    for x, y in zip(diag, diag[1:]):
-        if x == 0:
-            assert y == 0
-        else:
-            assert y % x == 0
-
-
 @given(int_matrices(max_dim=4))
 def test_hermite_transform_consistency(a):
     u, uinv, h, pivots = hermite_row_transform(a)
@@ -230,7 +195,7 @@ def test_complete_to_unimodular_prefix_and_det(data):
     except NotCompletableError:
         # the inputs must then fail saturation: some SNF diagonal != 1
         if k:
-            _, d, _ = smith_normal_form(IntMatrix.from_columns(vectors, n))
+            _, d, _ = ref.smith_normal_form(IntMatrix.from_columns(vectors, n))
             diag = [d.entry(i, i) for i in range(min(d.rows, d.cols))]
             assert any(x != 1 for x in diag[:k]) or len([x for x in diag if x != 0]) < k
         return
@@ -274,7 +239,7 @@ def test_nullspace_dimension_matches_rank(data):
     basis = solve_nullspace(a)
     assert len(basis) == c - rank(a)
     for vec in basis:
-        assert mat_mul(a, vec).is_zero()
+        assert mat_mul(a, vec) == RatMatrix.zeros(r, 1)
 
 
 def test_power_negative_exponent():
@@ -420,7 +385,8 @@ def stored(m: IntMatrix) -> tuple:
 def test_int_matrix_core_matches_reference(pair):
     a, b = pair
     if a.cols == b.rows:
-        assert stored(a.mul(b)) == stored(a @ b) == stored(ref.int_mul(a, b))
+        assert stored(a.mul(b)) == stored(ref.int_mul(a, b))
+        assert mat_mul(a, b) == RatMatrix(a.rows, b.cols, a.mul(b).entries)
     else:
         with pytest.raises(ValueError):
             a.mul(b)
@@ -431,9 +397,9 @@ def test_int_matrix_core_matches_reference(pair):
     copy = IntMatrix(a.rows, a.cols, list(a.entries))
     assert copy == a and hash(copy) == hash(a)
     assert (a == b) == (stored(a) == stored(b))
-    assert a != a.to_rational()
+    assert a != RatMatrix(a.rows, a.cols, a.entries)
     if a.rows == a.cols:
-        want = ref.det(a.to_rational())
+        want = ref.det(RatMatrix(a.rows, a.cols, a.entries))
         assert a.det() == want
         assert a.is_unimodular() == (abs(want) == 1)
     else:
@@ -442,13 +408,13 @@ def test_int_matrix_core_matches_reference(pair):
 
 def test_int_matrix_mul_needs_an_int_matrix():
     with pytest.raises(TypeError):
-        IntMatrix.identity(2).mul(IntMatrix.identity(2).to_rational())
+        IntMatrix.identity(2).mul(RatMatrix.identity(2))
 
 
 @given(int_matrices(max_dim=4))
 def test_int_det_matches_reference(a):
     if a.rows == a.cols:
-        assert a.det() == ref.det(a.to_rational())
+        assert a.det() == ref.det(RatMatrix(a.rows, a.cols, a.entries))
 
 
 @given(st.data())
@@ -475,7 +441,7 @@ def test_kernels_agree_with_sympy(data):
 def test_unimodular_inverse_matches_rational_inverse(m):
     got = unimodular_inverse(m)
     assert type(got) is IntMatrix
-    assert list(map(Fraction, got.entries)) == list(invert(m.to_rational()).entries)
+    assert list(map(Fraction, got.entries)) == list(invert(RatMatrix(m.rows, m.cols, m.entries)).entries)
 
 
 @given(int_matrices(max_dim=4))
@@ -500,35 +466,6 @@ def test_lattice_forms_keep_empty_shapes(shape):
     u, uinv, h, pivots = hermite_row_transform(a)
     assert (h.shape, pivots) == (shape, [])
     assert u.mul(a) == h and u.mul(uinv) == IntMatrix.identity(shape[0])
-    u, d, v = smith_normal_form(a)
-    assert d.shape == shape and u.mul(a).mul(v) == d
-    assert (u.shape, v.shape) == ((shape[0],) * 2, (shape[1],) * 2)
-
-
-@st.composite
-def lattice_matrices(draw):
-    """An r x c integer matrix with 0 <= r, c <= 5 and entries -6..6;
-    sometimes diagonal, so that a diagonal entry fails to divide a later
-    one and the divisibility repair runs."""
-    r = draw(st.integers(min_value=0, max_value=5))
-    c = draw(st.integers(min_value=0, max_value=5))
-    diagonal = draw(st.booleans())
-    return IntMatrix(
-        r, c, [draw(small_entries) if i == j or not diagonal else 0 for i in range(r) for j in range(c)]
-    )
-
-
-@given(lattice_matrices())
-@settings(max_examples=300)
-def test_smith_from_hermite_matches_the_reference(a):
-    u, d, v = smith_normal_form(a)
-    _, want, _ = ref.smith_normal_form(a)
-    # the reference builds D from its row lists, so compare entries and
-    # check the shape on its own
-    assert d.entries == want.entries
-    assert d.shape == a.shape
-    assert u.mul(a).mul(v) == d
-    assert u.is_unimodular() and v.is_unimodular()
 
 
 # --- the stored form: one denominator and integer entries ---
@@ -593,9 +530,9 @@ def test_kernel_outputs_equal_and_hash_as_constructed_matrices(data):
 @given(st.data())
 @settings(max_examples=150)
 def test_linear_operations_match_fraction_arithmetic(data):
-    """add, sub, scale, transpose, block_diag, is_identity and is_zero
-    against the same operation on the Fraction entries, 0 x k shapes and
-    denominators up to 10^6 included."""
+    """add, sub, scale, transpose, block_diag, is_identity and equality
+    with the zero matrix against the same operation on the Fraction
+    entries, 0 x k shapes and denominators up to 10^6 included."""
     a = data.draw(kernel_matrices())
     b = data.draw(kernel_matrices(rows=a.rows, cols=a.cols))
     c = data.draw(kernel_matrices())
@@ -621,9 +558,9 @@ def test_linear_operations_match_fraction_arithmetic(data):
         assert all(type(p) is Fraction for p in got.entries)
     unit = [Fraction(int(i == j)) for i in range(a.rows) for j in range(a.cols)]
     assert a.is_identity() == (a.rows == a.cols and fa == unit)
-    assert a.is_zero() == all(p == 0 for p in fa)
+    assert (a == RatMatrix.zeros(a.rows, a.cols)) == all(p == 0 for p in fa)
     assert RatMatrix.identity(a.rows).is_identity()
-    assert a.sub(a).is_zero() and RatMatrix.zeros(a.rows, a.cols) == a.sub(a)
+    assert RatMatrix.zeros(a.rows, a.cols) == a.sub(a)
 
 
 @given(kernel_matrices().filter(lambda m: m.rows > 0))

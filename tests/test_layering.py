@@ -2,14 +2,19 @@
 
 Private helpers stay inside their module, every imported name is used,
 and the exponent product of a lattice direction (the only consumer of
-``stratum_loop_exponents``), the arrow monodromy operator and integer
-row reduction each have exactly one implementation.
+``stratum_loop_exponents``) and the arrow monodromy operator each have
+exactly one implementation.  Every function, class and method has a
+reader in the package, the scripts, the benchmark or the README, so no
+code is kept alive by its tests alone, and each module's ``__all__``
+agrees with what it defines and with what ``fanrep`` re-exports.
 """
 
 import ast
 import pathlib
+import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fanrep"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fanrep"
 
 
 def modules():
@@ -71,22 +76,6 @@ def test_monodromy_is_built_only_by_the_direction_resolver():
     assert callers == ["reps.DirectionResolver._operator"]
 
 
-def test_smith_normal_form_reduces_through_hermite():
-    """The Smith form alternates Hermite reductions of m and m^T; it has
-    no row or column operations of its own."""
-    tree = modules()["exactnum"]
-    (smith,) = [
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "smith_normal_form"
-    ]
-    assert "smith_normal_form" in functions_calling(tree, "hermite_row_transform")
-    nested = [
-        type(node).__name__
-        for node in ast.walk(smith)
-        if node is not smith and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-    ]
-    assert nested == []
-
-
 def test_every_imported_name_is_used():
     """A name a module imports is read somewhere in that module; the
     package's ``__init__`` re-exports and ``from __future__`` imports are
@@ -122,3 +111,100 @@ def test_exactnum_builds_fractions_only_in_the_view_the_coercion_and_the_parser(
     tree = modules()["exactnum"]
     assert functions_calling(tree, "Rational") == []
     assert functions_calling(tree, "Fraction") == ["RatMatrix.entries", "_as_fraction", "parse_rational"]
+
+
+def definitions(tree) -> list:
+    """(name, qualified name) of each top-level function and class of a
+    module and each method of its classes, dunder names left out."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.name, f"{node.name}.{item.name}")
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            ]
+    return [(name, qualified) for name, qualified in found if not name.startswith("__")]
+
+
+def test_every_definition_has_a_reader():
+    """A function, class or method of the package is read somewhere in it
+    (an ``ast.Name`` or ``ast.Attribute``), appears as a whole word in
+    ``scripts/*.py`` or ``perfbench/*.py``, or is named in backticks in
+    the README as public API.  Code only the tests call is deleted.
+
+    The guard is name-based: a dead method that shares its name with a
+    read one (``RatMatrix.column`` with ``ChartBasis.column``) or with a
+    word in a script passes, and operator dunders (``__matmul__``,
+    ``__add__``) are not checked."""
+    trees = modules()
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    words = {
+        word
+        for path in sorted([*ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/*.py")])
+        for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
+    }
+    documented = set(re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text(encoding="utf-8")))
+    known = read | words
+    unread = [
+        qualified
+        for tree in trees.values()
+        for name, qualified in definitions(tree)
+        if name not in known and not {name, qualified} & documented
+    ]
+    assert unread == []
+
+
+def top_level_names(tree) -> set:
+    """The names a module binds at top level: definitions, assignments
+    and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {target.id for target in targets if isinstance(target, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def exported(tree) -> list:
+    """The strings of a module's ``__all__`` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [ast.literal_eval(item) for item in node.value.elts]
+    return []
+
+
+def test_all_lists_only_defined_names_and_covers_the_package_exports():
+    """Each name in a module's ``__all__`` is bound in that module, and
+    each name ``fanrep/__init__.py`` imports from a module is in that
+    module's ``__all__``, so removing a public name leaves no stale
+    export."""
+    trees = modules()
+    stale = [
+        f"{name}.{item}"
+        for name, tree in trees.items()
+        for item in exported(tree)
+        if item not in top_level_names(tree)
+    ]
+    assert stale == []
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in exported(trees[node.module])
+    ]
+    assert unlisted == []
