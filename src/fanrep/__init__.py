@@ -7,7 +7,6 @@ from .exactnum import (
     NotCompletableError,
     NotInvertibleError,
     RatMatrix,
-    Rational,
     complete_to_unimodular,
     invert,
     mat_mul,

@@ -7,6 +7,8 @@ a validation reports violations, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import signal
@@ -314,7 +316,17 @@ _PARSER = build_parser()
 
 
 def run(argv=None) -> CommandResult:
-    args = _PARSER.parse_args(argv)
+    """The result of the command argv.  A usage error is an ``error``
+    result whose detail is the text argparse prints; ``--help`` prints its
+    text and exits 0 through argparse."""
+    usage = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(usage):
+            args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:
+            raise
+        return CommandResult("error", {"error": "usage", "detail": usage.getvalue()})
     try:
         return args.handler(args)
     except ParseFailure as exc:
@@ -331,8 +343,13 @@ def run(argv=None) -> CommandResult:
 
 
 def main(argv=None) -> int:
+    """Print the result of argv as JSON and return its exit code; a usage
+    error prints argparse's text on stderr instead."""
     result = run(argv)
-    print(json.dumps(result.to_json(), sort_keys=True, indent=2))
+    if result.payload.get("error") == "usage":
+        sys.stderr.write(result.payload["detail"])
+    else:
+        print(json.dumps(result.to_json(), sort_keys=True, indent=2))
     return result.exit_code
 
 

@@ -12,11 +12,14 @@ compare them.  The rational kernels (products, sums, inverses,
 determinants, invertibility, row echelon forms and nullspaces) run on
 those integers: a product is an integer product over the product of the
 denominators, reduced by one gcd, and the eliminations are fraction-free
-over Z (Bareiss 1968).  Fractions are built only by the ``entries`` view,
-on its first read, and by the scalar coercion and ``parse_rational``.
+over Z (Bareiss 1968): one Gauss-Jordan sweep, ``_bareiss``, serves every
+determinant, invertibility test and inverse.  Fractions are built only by
+the ``entries`` view, on its first read, and by the scalar coercion and
+``parse_rational``.
 
 An IntMatrix is the den = 1 case of the same core: its product is the
-one ``mat_mul`` computes, and ``IntMatrix.is_unimodular``, a Bareiss
+one ``mat_mul`` computes, its inverse over Z (``unimodular_inverse``) is
+the one ``invert`` computes, and ``IntMatrix.is_unimodular``, a Bareiss
 determinant of +-1, is the one test of unimodularity.
 """
 
@@ -29,10 +32,7 @@ from math import gcd, lcm
 from operator import index, mul
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "RatMatrix",
     "IntMatrix",
     "NotInvertibleError",
@@ -167,32 +167,37 @@ def _transposed(values: tuple, cols: int) -> tuple:
     return tuple(x for j in range(cols) for x in values[j::cols])
 
 
-def _bareiss_det(m: list) -> int:
-    """Determinant of the square integer matrix with rows m, by Bareiss
-    fraction-free elimination (every division is exact).  The list m is
-    reordered and its rows replaced; the rows themselves are not modified.
+def _bareiss(m: list):
+    """Bareiss fraction-free Gauss-Jordan elimination of the leading n
+    columns of the n integer rows m; every division is exact.  It reduces
+    the leading block to p times the identity, p the last pivot, and
+    returns (p, sign, tails): sign * p, sign that of the row swaps, is the
+    block's determinant, and tails are the reduced rows past column n.
+    Returns None when the block is singular.  The list m is reordered and
+    its rows replaced; the rows themselves are not modified.
 
-    After step c the leading column is finished, so each remaining row
-    drops it and the pivot column is always index 0.
+    After step c the leading column is finished, so each row drops it and
+    the pivot column is always index 0.
     """
     n = len(m)
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][0]), None)
         if piv is None:
-            return 0
+            return None
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
         p = m[c][0]
         tail = m[c][1:]
-        for r in range(c + 1, n):
-            row = m[r]
-            f = row[0]
-            m[r] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+        for r in range(n):
+            if r != c:
+                row = m[r]
+                f = row[0]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+        m[c] = tail
         prev = p
-    return sign * prev
+    return prev, sign, m
 
 
 class _Matrix:
@@ -376,18 +381,10 @@ class RatMatrix(_Matrix):
             self.rows, self.cols, self.den * x.denominator, [x.numerator * a for a in self.ints]
         )
 
-    def mul(self, other: "RatMatrix") -> "RatMatrix":
-        return mat_mul(self, other)
-
-    def invert(self) -> "RatMatrix":
-        return invert(self)
-
     def is_invertible(self) -> bool:
-        """Decided by the Bareiss determinant of the integer matrix; builds
-        no inverse."""
-        if self.rows != self.cols:
-            return False
-        return _bareiss_det(self._int_rows()) != 0
+        """Decided by the Bareiss elimination of the integer matrix alone;
+        builds no inverse."""
+        return self.rows == self.cols and _bareiss(self._int_rows()) is not None
 
     def power(self, k: int) -> "RatMatrix":
         """Exact integer power; negative exponents go through the inverse.
@@ -408,11 +405,6 @@ class RatMatrix(_Matrix):
             if not k:
                 return result
             base = mat_mul(base, base)
-
-    def det(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        return _as_fraction(_bareiss_det(self._int_rows()), self.den**self.rows)
 
     def to_json(self) -> list:
         return [[format_rational(x) for x in self.row(i)] for i in range(self.rows)]
@@ -467,35 +459,21 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 def invert(a: RatMatrix) -> RatMatrix:
     """Exact inverse by fraction-free Gauss-Jordan elimination over Z.
 
-    ``a`` is M / den with M an integer matrix; M is reduced next to the
-    identity with Bareiss steps, which ends with every pivot equal to the
-    last one, p, and the right block R = p M^-1.  So a^-1 = den R / p.
-    Raises NotInvertibleError when the rank is deficient; this signal is
-    what the representation validators rely on.
+    ``a`` is M / den with M an integer matrix (den = 1 for an IntMatrix);
+    _bareiss reduces [M | I] to [p I | R] with R = p M^-1, so
+    a^-1 = den R / p, a RatMatrix.  Raises NotInvertibleError when the
+    rank is deficient; this signal is what the representation validators
+    rely on.
     """
-    if not a.is_square():
-        raise NotInvertibleError(f"matrix is {a.rows}x{a.cols}, not square")
     n = a.rows
+    if n != a.cols:
+        raise NotInvertibleError(f"matrix is {n}x{a.cols}, not square")
     unit = _unit(n)
-    m = [[*row, *unit[i * n : (i + 1) * n]] for i, row in enumerate(a._int_rows())]
-    prev = 1
-    for c in range(n):
-        # as in _bareiss_det, the finished column c is dropped from every row
-        piv = next((r for r in range(c, n) if m[r][0]), None)
-        if piv is None:
-            raise NotInvertibleError(f"rank < {n}")
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-        p = m[c][0]
-        tail = m[c][1:]
-        for r in range(n):
-            if r != c:
-                row = m[r]
-                f = row[0]
-                m[r] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
-        m[c] = tail
-        prev = p
-    return _reduced(n, n, prev, [x * a.den for row in m for x in row])
+    reduced = _bareiss([[*row, *unit[i * n : (i + 1) * n]] for i, row in enumerate(a._int_rows())])
+    if reduced is None:
+        raise NotInvertibleError(f"rank < {n}")
+    p, _, tails = reduced
+    return _reduced(n, n, p, [x * a.den for row in tails for x in row])
 
 
 def _rref(a: RatMatrix) -> tuple:
@@ -589,10 +567,11 @@ class IntMatrix(_Matrix):
         return self._trusted(self.rows, other.cols, 1, mat_mul(self, other).ints)
 
     def det(self) -> int:
-        """Exact determinant by Bareiss fraction-free elimination."""
+        """Exact determinant: the last Bareiss pivot times the row-swap sign."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return _bareiss_det(self._int_rows())
+        reduced = _bareiss(self._int_rows())
+        return 0 if reduced is None else reduced[0] * reduced[1]
 
     def is_unimodular(self) -> bool:
         """Whether the matrix is square with |det| = 1: the one test of
@@ -604,31 +583,28 @@ IntMatrix.ints = IntMatrix.entries
 
 
 def hermite_row_transform(a: IntMatrix) -> tuple:
-    """Row Hermite form: returns (U, Uinv, H, pivots) with U.a = H.
+    """Row Hermite form: returns (Uinv, H, pivots) with a = Uinv.H.
 
     H is in row echelon form with positive pivots and entries above each
-    pivot reduced into [0, pivot); U is unimodular with tracked inverse.
+    pivot reduced into [0, pivot); Uinv is unimodular, the inverse of the
+    row operations U with U.a = H.
     """
     nr, nc = a.rows, a.cols
     m = a.to_rows()
-    u = IntMatrix.identity(nr).to_rows()
     uinv = IntMatrix.identity(nr).to_rows()
 
     def swap(i, j):
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
         for row in uinv:
             row[i], row[j] = row[j], row[i]
 
     def add(i, j, q):  # row_i += q * row_j ; uinv col_j -= q * col_i
         m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
         for row in uinv:
             row[j] -= q * row[i]
 
     def neg(i):
         m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
         for row in uinv:
             row[i] = -row[i]
 
@@ -664,22 +640,21 @@ def hermite_row_transform(a: IntMatrix) -> tuple:
             pr += 1
     # H from its shape, not its row lists: a 0 x c input has no rows
     h = IntMatrix._trusted(nr, nc, 1, tuple(x for row in m for x in row))
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(uinv), h, pivots
+    return IntMatrix.from_rows(uinv), h, pivots
 
 
 @lru_cache(maxsize=256)
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse over Z of a square integer matrix with |det| = 1.
-
-    The row Hermite form of such a matrix is the identity, so the
-    transform U with U.m = H is the inverse.  Raises ValueError when m is
-    not square or |det| != 1.  Results are cached; matrices are immutable.
+    """Inverse over Z of a square integer matrix with |det| = 1: the
+    rational inverse, which is integral for such a matrix, as an
+    IntMatrix.  Raises ValueError when m is not square or |det| != 1.
+    Results are cached; matrices are immutable.
     """
     if m.rows != m.cols:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, not square")
     if not m.is_unimodular():
         raise ValueError("matrix is not unimodular (|det| != 1)")
-    return hermite_row_transform(m)[0]
+    return IntMatrix._trusted(m.rows, m.cols, 1, invert(m).ints)
 
 
 def complete_to_unimodular(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
@@ -699,7 +674,7 @@ def complete_to_unimodular(vectors: Sequence[Sequence[int]], n: int) -> IntMatri
     for vec in vectors:
         if len(vec) != n:
             raise ValueError(f"vector {vec} is not {n}-dimensional")
-    _, uinv, h, pivots = hermite_row_transform(IntMatrix.from_columns(vectors, n))
+    uinv, h, pivots = hermite_row_transform(IntMatrix.from_columns(vectors, n))
     if len(pivots) < k:
         raise NotCompletableError("vectors are linearly dependent")
     for r in range(k):

@@ -210,6 +210,7 @@ def check_squares(rep: Representation) -> List[Violation]:
     """The four path identities on each square face (K; p, q)."""
     out = []
     q = rep.quiver
+    u, v = rep.u, rep.v
     for base, p, qq in q.squares():
         kp = tuple(sorted(base + (p,)))
         kq = tuple(sorted(base + (qq,)))
@@ -219,26 +220,17 @@ def check_squares(rep: Representation) -> List[Violation]:
         e_pq = (kp, kpq)
         e_qp = (kq, kpq)
         loc = (vertex_key(base), p, qq)
-        u_via_p = mat_mul(rep.u[e_pq], rep.u[e_p])
-        u_via_q = mat_mul(rep.u[e_qp], rep.u[e_q])
-        if u_via_p != u_via_q:
-            out.append(Violation("ii", loc + ("u-path",), _diff_detail(u_via_p, u_via_q)))
-        v_via_p = mat_mul(rep.v[e_p], rep.v[e_pq])
-        v_via_q = mat_mul(rep.v[e_q], rep.v[e_qp])
-        if v_via_p != v_via_q:
-            out.append(Violation("ii", loc + ("v-path",), _diff_detail(v_via_p, v_via_q)))
-        mixed_pq_l = mat_mul(rep.v[e_pq], rep.u[e_qp])
-        mixed_pq_r = mat_mul(rep.u[e_p], rep.v[e_q])
-        if mixed_pq_l != mixed_pq_r:
-            out.append(
-                Violation("ii", loc + ("mixed-pq",), _diff_detail(mixed_pq_l, mixed_pq_r))
-            )
-        mixed_qp_l = mat_mul(rep.v[e_qp], rep.u[e_pq])
-        mixed_qp_r = mat_mul(rep.u[e_q], rep.v[e_p])
-        if mixed_qp_l != mixed_qp_r:
-            out.append(
-                Violation("ii", loc + ("mixed-qp",), _diff_detail(mixed_qp_l, mixed_qp_r))
-            )
+        checks = (
+            ("u-path", mat_mul(u[e_pq], u[e_p]), mat_mul(u[e_qp], u[e_q])),
+            ("v-path", mat_mul(v[e_p], v[e_pq]), mat_mul(v[e_q], v[e_qp])),
+            ("mixed-pq", mat_mul(v[e_pq], u[e_qp]), mat_mul(u[e_p], v[e_q])),
+            ("mixed-qp", mat_mul(v[e_qp], u[e_pq]), mat_mul(u[e_q], v[e_p])),
+        )
+        out += [
+            Violation("ii", loc + (path,), _diff_detail(lhs, rhs))
+            for path, lhs, rhs in checks
+            if lhs != rhs
+        ]
     return out
 
 

@@ -160,7 +160,9 @@ def rank(a: RatMatrix) -> int:
 
 
 def det(self: RatMatrix) -> Fraction:
-    """``RatMatrix.det`` by Fraction Gaussian elimination."""
+    """The determinant of a rational matrix by Fraction Gaussian
+    elimination; the package has it as ``IntMatrix.det`` of den times the
+    matrix, over den ** n."""
     if not self.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = self.rows

@@ -28,6 +28,7 @@ from fanrep.exactnum import (
     NotCompletableError,
     RatMatrix,
     complete_to_unimodular,
+    invert,
     mat_mul,
     rank,
 )
@@ -454,7 +455,7 @@ def _random_valid_p1_rep(rng):
         m1 = mat_mul(b, a).add(RatMatrix.identity(n))
         if m1.is_invertible():
             break
-    d = m1.invert().sub(RatMatrix.identity(n))
+    d = invert(m1).sub(RatMatrix.identity(n))
     return Representation(
         quiver,
         {v: n for v in quiver.vertices},
@@ -505,7 +506,7 @@ def _random_twisted_p1_datum(rng):
             break
     # conjugate chart 2 by g everywhere and twist the deltas accordingly
     c2 = d.charts[k2]
-    g_inv = g.invert()
+    g_inv = invert(g)
     u = {e: mat_mul(mat_mul(g, c2.u[e]), g_inv) for e in c2.quiver.arrow_pairs}
     v = {e: mat_mul(mat_mul(g, c2.v[e]), g_inv) for e in c2.quiver.arrow_pairs}
     charts = {k1: d.charts[k1], k2: Representation(c2.quiver, c2.dims, u, v)}

@@ -431,6 +431,29 @@ def test_closed_stdout_ends_the_process_without_a_verdict_code():
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["rep", "validate", "x"], ["bogus"]])
+def test_usage_error_is_returned_in_process(argv):
+    result = run(argv)
+    assert (result.status, result.payload["error"], result.exit_code) == ("error", "usage", 2)
+    assert result.payload["detail"].startswith("usage: fanrep")
+    assert "error:" in result.payload["detail"]
+
+
+def test_usage_error_through_main_is_argparse_text_on_stderr(capsys):
+    assert main(["rep", "validate", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fanrep rep validate")
+    assert "the following arguments are required: --category" in captured.err
+
+
+def test_help_still_exits_0_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["rep", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fanrep rep")
+
+
 def test_delta_key_must_have_three_parts(tmp_path, capsys):
     data = json.loads((FIXTURES / "descent_p2_ok.json").read_text())
     data["deltas"]["1,2|1,3"] = data["deltas"].pop("1,2|1,3|1")

@@ -28,7 +28,7 @@ from fanrep.descent import (
     section,
     validate_descent,
 )
-from fanrep.exactnum import NotInvertibleError, RatMatrix, mat_mul
+from fanrep.exactnum import NotInvertibleError, RatMatrix, invert, mat_mul
 from fanrep.geometry import Cone, Fan, chart_bases, fan_from_json, loop_reference, maximal_cones
 from fanrep.quivers import Quiver, fan_quiver
 from fanrep.reps import (
@@ -331,7 +331,7 @@ class TestGlueMorphism:
             )
             # compatibility forces the chart-2 component on the overlap
             delta_ratio = mat_mul(
-                d2.delta(k1, k2, ()), mat_mul(scalar(c), d1.delta(k1, k2, ()).invert())
+                d2.delta(k1, k2, ()), mat_mul(scalar(c), invert(d1.delta(k1, k2, ())))
             )
             comp2_maps = {
                 (): delta_ratio,
@@ -389,9 +389,11 @@ class TestGlueMorphism:
 
 
 class TestMixedDimensionCharts:
-    """Fans whose maximal cones have different dimensions: the vertex
-    owner and the loop-reference chart can differ, so section and glue
-    must derive loop operators through expansions."""
+    """Fans whose maximal cones have different dimensions, so vertices
+    carry different numbers of loops.  glue takes each vertex from its
+    ``loop_reference`` chart, which owns it, and builds no resolver;
+    section reads every chart's loops from the direction resolver, so a
+    chart that is not a vertex's loop reference gets expansions there."""
 
     def mixed_fan(self):
         # Z^4: a ray chart (1,) and a 2-dimensional chart (2,3)
@@ -460,8 +462,9 @@ class TestMixedDimensionCharts:
             section(bad, fan)
 
     def test_full_dim_chart_with_lower_lex_neighbor(self):
-        # maximal cones (1,4) and (2,3,5): the vertex owner (1,4) is not
-        # the loop reference of the origin (no loops there at all)
+        # maximal cones (1,4) and (2,3,5): (1,4) is lexicographically
+        # first, but the origin's loop reference, which owns it, is the
+        # full-dimensional (2,3,5), so the origin has no loops at all
         cones = set(Cone((1, 4)).faces()) | set(Cone((2, 3, 5)).faces())
         fan = Fan(
             3,
@@ -498,7 +501,7 @@ class TestTwistedLoopDescent:
             quiver,
             {v: 2 for v in quiver.vertices},
             {((), (1,)): a, ((), (2,)): ident},
-            {((), (1,)): b, ((), (2,)): m1.invert().sub(ident)},
+            {((), (1,)): b, ((), (2,)): invert(m1).sub(ident)},
             {((), 3): loop_low, ((1,), 3): loop_high, ((2,), 4): loop_low},
         )
         assert validate_CDelta(rep, fan) == []
@@ -509,7 +512,7 @@ class TestTwistedLoopDescent:
                 break
         k1, k2 = maximal_cones(fan)
         c2 = base.charts[k2]
-        g_inv = g.invert()
+        g_inv = invert(g)
         charts = {
             k1: base.charts[k1],
             k2: Representation(
@@ -909,7 +912,7 @@ def twisted_datum(fan, n, pick, eigenvalues=EIGENVALUES):
     eigenvalues.  pick(options) chooses one of options, so a hypothesis
     draw and a seeded random.Random both serve."""
     p = invertible(n, pick)
-    p_inv = p.invert()
+    p_inv = invert(p)
     lams = [[pick(eigenvalues) for _ in range(fan.dim)] for _ in range(n)]
 
     def chi(m):
@@ -928,7 +931,7 @@ def twisted_datum(fan, n, pick, eigenvalues=EIGENVALUES):
     for cone in tops:
         quiver = chart_quiver(fan, bases, cone)
         g = {vtx: invertible(n, pick) for vtx in quiver.vertices}
-        g_inv = {vtx: mat.invert() for vtx, mat in g.items()}
+        g_inv = {vtx: invert(mat) for vtx, mat in g.items()}
         twists[cone] = (g, g_inv)
         u, v = {}, {}
         for low, high in quiver.arrow_pairs:

@@ -173,10 +173,9 @@ def rat_matrices(draw, rows, cols, entries=small_entries):
 
 @given(int_matrices(max_dim=4))
 def test_hermite_transform_consistency(a):
-    u, uinv, h, pivots = hermite_row_transform(a)
-    assert u.mul(a) == h
-    assert u.mul(uinv) == IntMatrix.identity(a.rows)
-    assert abs(u.det()) == 1
+    uinv, h, pivots = hermite_row_transform(a)
+    assert uinv.mul(h) == a
+    assert abs(uinv.det()) == 1
     for r, c in enumerate(pivots):
         assert h.entry(r, c) > 0
         for i in range(r + 1, h.rows):
@@ -224,7 +223,7 @@ def test_invert_roundtrip(data):
     try:
         inv = invert(a)
     except NotInvertibleError:
-        assert a.det() == 0
+        assert ref.det(a) == 0
         return
     assert mat_mul(inv, a) == RatMatrix.identity(n)
     assert mat_mul(a, inv) == RatMatrix.identity(n)
@@ -341,8 +340,7 @@ def test_square_kernels_match_reference(data):
     else:
         assert_identical(got, want)
     assert a.is_invertible() == ref.is_invertible(a)
-    det = a.det()
-    assert type(det) is Fraction and det == ref.det(a)
+    assert Fraction(IntMatrix(n, n, a.ints).det(), a.den**n) == ref.det(a)
 
 
 @given(st.data())
@@ -417,6 +415,20 @@ def test_int_det_matches_reference(a):
         assert a.det() == ref.det(RatMatrix(a.rows, a.cols, a.entries))
 
 
+@pytest.mark.parametrize(
+    "rows, det",
+    [
+        ([[0, 1], [1, 0]], -1),
+        # zero leading entries: the sweep swaps rows at columns 0 and 1
+        ([[0, 2, 1], [0, 0, 3], [5, 1, 0]], 30),
+    ],
+)
+def test_det_sign_follows_the_row_swaps(rows, det):
+    assert IntMatrix.from_rows(rows).det() == det == ref.det(rat(rows))
+    a = rat(rows).scale(Fraction(1, 2))
+    assert a.is_invertible() and mat_mul(invert(a), a) == RatMatrix.identity(len(rows))
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_kernels_agree_with_sympy(data):
@@ -431,7 +443,7 @@ def test_kernels_agree_with_sympy(data):
     # sympy normalizes its nullspace basis the same way: 1 at each free column
     assert [vec.entries for vec in solve_nullspace(a)] == [exact(vec) for vec in m.nullspace()]
     if a.rows == a.cols:
-        assert a.det() == exact([m.det()])[0]
+        assert Fraction(IntMatrix(a.rows, a.cols, a.ints).det(), a.den**a.rows) == exact([m.det()])[0]
         if a.is_invertible():
             assert invert(a).entries == exact(m.inv())
 
@@ -441,7 +453,7 @@ def test_kernels_agree_with_sympy(data):
 def test_unimodular_inverse_matches_rational_inverse(m):
     got = unimodular_inverse(m)
     assert type(got) is IntMatrix
-    assert list(map(Fraction, got.entries)) == list(invert(RatMatrix(m.rows, m.cols, m.entries)).entries)
+    assert list(map(Fraction, got.entries)) == list(ref.invert(RatMatrix(m.rows, m.cols, m.entries)).entries)
 
 
 @given(int_matrices(max_dim=4))
@@ -463,9 +475,9 @@ def test_unimodular_inverse_messages():
 @pytest.mark.parametrize("shape", [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)])
 def test_lattice_forms_keep_empty_shapes(shape):
     a = IntMatrix(*shape, [])
-    u, uinv, h, pivots = hermite_row_transform(a)
+    uinv, h, pivots = hermite_row_transform(a)
     assert (h.shape, pivots) == (shape, [])
-    assert u.mul(a) == h and u.mul(uinv) == IntMatrix.identity(shape[0])
+    assert uinv.mul(h) == a and uinv == IntMatrix.identity(shape[0])
 
 
 # --- the stored form: one denominator and integer entries ---

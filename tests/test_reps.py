@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from fanrep import reps
-from fanrep.exactnum import IntMatrix, RatMatrix, mat_mul
+from fanrep.exactnum import IntMatrix, RatMatrix, invert, mat_mul
 from fanrep.geometry import Cone, Fan, chart_bases
 from fanrep.quivers import Quiver, arrangement_quiver, cube_quiver, fan_quiver, hypercube_quiver
 from fanrep.reps import (
@@ -538,10 +538,10 @@ def conjugate_rep(rng, rep):
     v = {}
     for e in rep.quiver.arrow_pairs:
         low, high = e
-        u[e] = mat_mul(mat_mul(g[high], rep.u[e]), g[low].invert())
-        v[e] = mat_mul(mat_mul(g[low], rep.v[e]), g[high].invert())
+        u[e] = mat_mul(mat_mul(g[high], rep.u[e]), invert(g[low]))
+        v[e] = mat_mul(mat_mul(g[low], rep.v[e]), invert(g[high]))
     loops = {
-        (vtx, label): mat_mul(mat_mul(g[vtx], mat), g[vtx].invert())
+        (vtx, label): mat_mul(mat_mul(g[vtx], mat), invert(g[vtx]))
         for (vtx, label), mat in rep.loop_maps.items()
     }
     return Representation(rep.quiver, rep.dims, u, v, loops)
