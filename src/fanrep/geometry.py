@@ -258,11 +258,22 @@ def loop_reference(fan: Fan, cone: Cone) -> Cone:
     with the reference chart's completion labels on fans whose maximal
     cones have mixed dimensions.
     """
-    candidates = [k for k in maximal_cones(fan) if k.contains(cone)]
-    if not candidates:
+    ref = _loop_references(fan).get(cone)
+    if ref is None:
         raise FanError("unknown-cone", f"no maximal cone contains {cone.ray_indices}")
-    top = max(len(k) for k in candidates)
-    return min((k for k in candidates if len(k) == top), key=lambda c: c.ray_indices)
+    return ref
+
+
+@lru_cache(maxsize=64)
+def _loop_references(fan: Fan) -> dict:
+    """Every face of a maximal cone, mapped to its reference chart: the
+    larger maximal cones claim their faces first, then the smaller ray
+    index tuples."""
+    table = {}
+    for top in sorted(_maximal_cones_cached(fan), key=lambda c: (-len(c), c.ray_indices)):
+        for face in top.faces():
+            table.setdefault(face, top)
+    return table
 
 
 def chart_bases(fan: Fan, overrides: Optional[Dict[Cone, IntMatrix]] = None) -> Dict[Cone, ChartBasis]:

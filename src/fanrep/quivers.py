@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import index
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
@@ -117,7 +118,11 @@ def cube_quiver(indices, loop_labels=()) -> Quiver:
     """The hypercube on an index set: one vertex per subset, a u/v pair
     on each edge adding one index, and the same loop labels at every
     vertex."""
-    indices = tuple(indices)
+    return _cube_quiver_cached(tuple(indices), tuple(loop_labels))
+
+
+@lru_cache(maxsize=256)
+def _cube_quiver_cached(indices: tuple, loop_labels: tuple) -> Quiver:
     vertices = subsets(indices)
     pairs = [(v, tuple(sorted(v + (p,)))) for v in vertices for p in indices if p not in v]
     return Quiver(vertices, pairs, {v: loop_labels for v in vertices})
@@ -158,6 +163,12 @@ def fan_quiver(fan: Fan, bases: Optional[Dict] = None) -> Quiver:
     """
     if bases is None:
         bases = chart_bases(fan)
+    return _fan_quiver_cached(fan, tuple(sorted(bases.items())))
+
+
+@lru_cache(maxsize=64)
+def _fan_quiver_cached(fan: Fan, bases: tuple) -> Quiver:
+    bases = dict(bases)
     cones = fan.sorted_cones()
     vertices = [c.ray_indices for c in cones]
     pairs = []

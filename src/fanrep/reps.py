@@ -335,8 +335,9 @@ class DirectionResolver:
     representation every label of the chart's basis resolves as an arrow
     or a loop.  C_n and C_Sigma build a chart-less resolver and ask it for
     arrows only, never reaching the expansion.  Each operator is built once
-    per resolver, and each integer power once per (operator, exponent), so
-    labels that resolve to one matrix share its powers.
+    per resolver, each integer power once per (operator, exponent), so
+    labels that resolve to one matrix share its powers, and each expansion
+    once per (vertex, chart, vector).
     """
 
     def __init__(self, rep: Representation, fan: Fan, bases):
@@ -351,6 +352,7 @@ class DirectionResolver:
         }
         self._operators = operators
         self._powers = powers
+        self._expansions = {}
 
     def operator(self, vertex: Vertex, label: int) -> RatMatrix:
         key = (vertex, label)
@@ -374,15 +376,22 @@ class DirectionResolver:
                 return monodromy(rep, (vertex, high), "low")
         if label in rep.quiver.loops[vertex]:
             return rep.loop_maps[(vertex, label)]
-        ref = self.bases[loop_reference(self.fan, Cone(vertex))]
-        return self.expansion(vertex, ref, self.vectors[label])
+        return self.expansion(vertex, loop_reference(self.fan, Cone(vertex)), self.vectors[label])
 
-    def expansion(self, vertex: Vertex, basis: ChartBasis, vector) -> RatMatrix:
+    def expansion(self, vertex: Vertex, chart: Cone, vector) -> RatMatrix:
         """Operator at vertex of the lattice direction vector: the product,
-        in label order, of the operators of basis's directions raised to
-        vector's exponents in that basis (labels inside the vertex are
-        dropped).  The product starts from its first nonzero factor; only
-        an empty product is the identity."""
+        in label order, of the operators of the directions of chart's basis
+        raised to vector's exponents in that basis (labels inside the
+        vertex are dropped).  The product starts from its first nonzero
+        factor; only an empty product is the identity.  Built once per
+        (vertex, chart, vector)."""
+        key = (vertex, chart, tuple(vector))
+        op = self._expansions.get(key)
+        if op is None:
+            op = self._expansions[key] = self._expansion(vertex, self.bases[chart], key[2])
+        return op
+
+    def _expansion(self, vertex: Vertex, basis: ChartBasis, vector: tuple) -> RatMatrix:
         result = None
         for label, k in sorted(stratum_loop_exponents(basis, vertex, vector).items()):
             if k:
@@ -407,7 +416,7 @@ def overlap_operators(bases: Dict[Cone, ChartBasis], resolvers):
             for p in labels:
                 try:
                     op = resolvers[kp].operator(j, p)
-                    product = resolvers[k].expansion(j, bases[k], resolvers[kp].vectors[p])
+                    product = resolvers[k].expansion(j, k, resolvers[kp].vectors[p])
                 except NotInvertibleError:
                     continue
                 yield k, kp, j, p, op, product

@@ -55,6 +55,12 @@ the walk ``fanrep.charts`` made over every ordered pair and every ordered
 triple of maximal charts before it walked the pairs through the first
 maximal chart; it composes with ``compose``, ``charts.compose`` over
 ``int_mul``.  Both walks must raise ``CocycleError`` on the same inputs.
+
+``loop_reference`` is the scan of the maximal cones that
+``fanrep.geometry`` made on every call before it kept one table per fan;
+the table lookup must return the same chart, or raise the same
+``FanError``, for every cone.  ``orthant_fans`` draws the smooth fans,
+of mixed dimensions, that it and the quiver memos are tested on.
 """
 
 import itertools
@@ -66,7 +72,7 @@ from hypothesis import strategies as st
 from fanrep.charts import CocycleError, MonomialMap, gluing_map, stratum_loop_exponents
 from fanrep.descent import DescentError, validate_descent
 from fanrep.exactnum import IntMatrix, NotInvertibleError, RatMatrix
-from fanrep.geometry import ChartBasis, Cone, cone_key, loop_reference, maximal_cones
+from fanrep.geometry import ChartBasis, Cone, Fan, FanError, cone_key, maximal_cones
 from fanrep.quivers import Vertex, cube_quiver, fan_quiver, subsets, vertex_key
 from fanrep.reps import DirectionResolver, Representation, Violation, _arrow_maps, edge_key, monodromy
 
@@ -382,7 +388,7 @@ def glue(d) -> Representation:
                 loops[(vtx, label)] = d.charts[owner].loop_maps[(vtx, label)]
             else:
                 loops[(vtx, label)] = resolvers[owner].expansion(
-                    vtx, bases[owner], bases[ref].column(label)
+                    vtx, owner, bases[ref].column(label)
                 )
     return Representation(quiver, dims, u, v, loops)
 
@@ -410,7 +416,7 @@ def iii_violations(rep: Representation, fan, bases) -> List[Violation]:
         for p in labels:
             try:
                 lhs = resolver.operator(j, p)
-                rhs = resolver.expansion(j, bases[k], resolver.vectors[p])
+                rhs = resolver.expansion(j, k, resolver.vectors[p])
             except NotInvertibleError:
                 continue  # already reported by condition (i) or the loop checks
             if lhs != rhs:
@@ -437,7 +443,7 @@ def transport_violations(d) -> List[Violation]:
             # dj^-1 . op_b . dj == the chart-a expansion, multiplied through by dj
             try:
                 lhs = mat_mul(resolvers[b].operator(j, p), dj)
-                rhs = mat_mul(dj, resolvers[a].expansion(j, d.bases[a], resolvers[b].vectors[p]))
+                rhs = mat_mul(dj, resolvers[a].expansion(j, a, resolvers[b].vectors[p]))
             except NotInvertibleError:
                 continue  # the chart validity section already reports this
             if lhs != rhs:
@@ -609,3 +615,33 @@ def check_cocycle(fan, bases: Dict[Cone, ChartBasis]) -> None:
                 (i, j, k),
                 f"cocycle fails on ({i.ray_indices}, {j.ray_indices}, {k.ray_indices})",
             )
+
+
+def loop_reference(fan: Fan, cone: Cone) -> Cone:
+    """Reference chart of a cone: the lexicographically smallest maximal
+    cone containing it, among those of maximal cardinality.
+
+    The cardinality restriction keeps the loop count n - max|K| coherent
+    with the reference chart's completion labels on fans whose maximal
+    cones have mixed dimensions.
+    """
+    candidates = [k for k in maximal_cones(fan) if k.contains(cone)]
+    if not candidates:
+        raise FanError("unknown-cone", f"no maximal cone contains {cone.ray_indices}")
+    top = max(len(k) for k in candidates)
+    return min((k for k in candidates if len(k) == top), key=lambda c: c.ray_indices)
+
+
+@st.composite
+def orthant_fans(draw):
+    """A smooth fan in Z^n, n = 1..4, on the rays +-e_i (ray 2i+1 is e_i,
+    ray 2i+2 is -e_i): the faces of 1-5 cones, each on at most one of
+    +-e_i for every i.  Such cones are faces of coordinate orthants, so
+    any set of them, closed under faces, is a fan; its maximal cones may
+    have different dimensions."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rays = [tuple(sign * int(j == i) for j in range(n)) for i in range(n) for sign in (1, -1)]
+    pick = st.tuples(*[st.sampled_from([(), (2 * i + 1,), (2 * i + 2,)]) for i in range(n)])
+    tops = draw(st.lists(pick, min_size=1, max_size=5))
+    cones = {face for top in tops for face in Cone(sum(top, ())).faces()}
+    return Fan(n, rays, cones)

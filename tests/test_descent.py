@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_kernels as ref
-from fanrep import descent, exactnum, reps
+from fanrep import descent, exactnum, quivers, reps
 from fanrep.descent import (
     DescentDatum,
     DescentError,
@@ -29,7 +29,7 @@ from fanrep.descent import (
     validate_descent,
 )
 from fanrep.exactnum import NotInvertibleError, RatMatrix, invert, mat_mul
-from fanrep.geometry import Cone, Fan, chart_bases, fan_from_json, loop_reference, maximal_cones
+from fanrep.geometry import Cone, Fan, FanError, chart_bases, fan_from_json, loop_reference, maximal_cones
 from fanrep.quivers import Quiver, fan_quiver
 from fanrep.reps import (
     DirectionResolver,
@@ -1020,6 +1020,77 @@ class TestNoResolverBuiltTwice:
         assert glue(back) == glued
 
 
+class TestEachBuildOnce:
+    """The benchmark's job on (P^1)^3 x C* at dimension 2 (validate, glue,
+    validate_CDelta, section) builds each direction expansion once per
+    resolver and the fan quiver once; a repeat of the job builds no
+    quiver.  Without the memos the job makes 773 stratum_loop_exponents
+    calls over 152 distinct (chart, vertex, vector) inputs, and builds
+    the fan quiver twice."""
+
+    def job(self, d):
+        d = DescentDatum(d.fan, d.charts, d.stored_deltas(), bases=d.bases)
+        assert validate_descent(d) == []
+        glued = glue(d)
+        assert validate_CDelta(glued, d.fan, d.bases) == []
+        section(glued, d.fan, d.bases)
+
+    def test_each_expansion_and_the_fan_quiver_once(self, monkeypatch, fresh_caches):
+        d = twisted_datum(product_fan(3, 1), 2, random.Random(7).choice)
+        fresh_caches()
+        exponents, built = [], []
+        real_exponents, real_init = reps.stratum_loop_exponents, Quiver.__init__
+
+        def counting(*args):
+            exponents.append(args)
+            return real_exponents(*args)
+
+        def init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(reps, "stratum_loop_exponents", counting)
+        monkeypatch.setattr(Quiver, "__init__", init)
+        self.job(d)
+        assert 0 < len(exponents) <= 304
+        assert quivers._fan_quiver_cached.cache_info().misses <= 1
+        exponents.clear()
+        built.clear()
+        self.job(d)
+        assert 0 < len(exponents) <= 304
+        assert built == []
+
+
+def assert_loop_references_match_the_scan(fan):
+    """Every set of ray indices, in the fan or not, and one past the rays."""
+    for cone in Cone((*range(1, len(fan.rays) + 1), len(fan.rays) + 1)).faces():
+        assert outcome(loop_reference, fan, cone) == outcome(ref.loop_reference, fan, cone)
+
+
+@given(ref.orthant_fans())
+@settings(max_examples=100, deadline=None)
+def test_loop_reference_table_matches_the_scan(fan):
+    assert_loop_references_match_the_scan(fan)
+
+
+def test_loop_reference_table_matches_the_scan_on_mixed_dimensions():
+    mixed = TestMixedDimensionCharts().mixed_fan()
+    for fan in (mixed, non_pure_fan()):
+        assert_loop_references_match_the_scan(fan)
+    assert outcome(loop_reference, mixed, Cone((1, 2))) == (
+        FanError,
+        "unknown-cone: no maximal cone contains (1, 2)",
+    )
+
+
+def outcome(function, *args):
+    """function(*args), or the type and text of the FanError it raised."""
+    try:
+        return function(*args)
+    except FanError as exc:
+        return type(exc), str(exc)
+
+
 def cxcstar_override():
     data = json.loads((FIXTURES / "fan_cxcstar_override.json").read_text())
     fan, overrides = fan_from_json(data)
@@ -1081,7 +1152,7 @@ def test_resolver_expansion_matches_the_reference(case):
     # operators and powers cached by earlier ones
     resolver = DirectionResolver(rep, fan, {basis.cone: basis})
     for _ in range(2):
-        got = [outcome(lambda: resolver.expansion(vertex, basis, vector)) for vector in vectors]
+        got = [outcome(lambda: resolver.expansion(vertex, basis.cone, vector)) for vector in vectors]
         assert got == want
 
 

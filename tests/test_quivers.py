@@ -1,14 +1,20 @@
 """Quiver constructions and their structural invariants."""
 
 import dataclasses
+import json
+import pathlib
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanrep.geometry import Cone, Fan, chart_bases
+import reference_kernels as ref
+from fanrep import quivers
+from fanrep.geometry import Cone, Fan, chart_bases, fan_from_json
 from fanrep.quivers import (
     Quiver,
     arrangement_quiver,
+    cube_quiver,
     fan_quiver,
     hypercube_quiver,
     quiver_from_json,
@@ -157,6 +163,50 @@ def test_loops_are_read_only():
     q = fan_quiver(Fan(2, [(1, 0)], [(), (1,)]))
     with pytest.raises(TypeError):
         q.loops[()] = ()
+
+
+def test_a_shared_quiver_is_immutable():
+    """One memoized quiver serves every representation over it, so none
+    of them can change it: every public attribute is a tuple, a frozenset
+    or a read-only mapping of tuples, and no field can be set."""
+    q = fan_quiver(p2_fan())
+    assert q is fan_quiver(p2_fan())
+    public = {name: value for name, value in vars(q).items() if not name.startswith("_")}
+    assert set(public) == {"vertices", "arrow_pairs", "loops"}
+    for value in public.values():
+        assert isinstance(value, (tuple, frozenset, MappingProxyType))
+        items = value.values() if isinstance(value, MappingProxyType) else value
+        assert all(isinstance(item, tuple) for item in items)
+    for name in public:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(q, name, ())
+    with pytest.raises(TypeError):
+        q.loops[()] = ()
+
+
+@given(ref.orthant_fans())
+@settings(max_examples=60, deadline=None)
+def test_memoized_quivers_equal_fresh_builds(fan):
+    bases = chart_bases(fan)
+    fresh = quivers._fan_quiver_cached.__wrapped__(fan, tuple(sorted(bases.items())))
+    assert fan_quiver(fan, bases) == fresh
+    assert fan_quiver(fan) is fan_quiver(fan, bases)
+    for cone, basis in bases.items():
+        indices, labels = cone.ray_indices, basis.completion_labels
+        fresh = quivers._cube_quiver_cached.__wrapped__(indices, labels)
+        assert cube_quiver(list(indices), list(labels)) == fresh
+        assert cube_quiver(indices, labels) is cube_quiver(list(indices), list(labels))
+
+
+def test_bases_differing_only_in_override_share_one_quiver():
+    data = json.loads((pathlib.Path(__file__).parent / "fixtures" / "fan_cxcstar_override.json").read_text())
+    fan, overrides = fan_from_json(data)
+    flagged = chart_bases(fan, overrides)
+    assert any(basis.override for basis in flagged.values())
+    unflagged = {cone: dataclasses.replace(basis, override=False) for cone, basis in flagged.items()}
+    assert fan_quiver(fan, unflagged) is fan_quiver(fan, flagged)
+    # the default completion has the same labels, so an equal quiver
+    assert fan_quiver(fan) == fan_quiver(fan, flagged)
 
 
 @given(st.integers(min_value=0, max_value=4))
