@@ -12,7 +12,7 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from fanrep.charts import check_cocycle, gluing_map
+from fanrep.charts import check_cocycle
 from fanrep.descent import glue, section
 from fanrep.exactnum import RatMatrix
 from fanrep.geometry import Fan, chart_bases, cone_key, dual_cone_smooth, maximal_cones, validate_fan
@@ -34,13 +34,9 @@ def main():
         g = dual_cone_smooth(bases[cone].basis)
         print(f"chart {cone_key(cone)}: basis {bases[cone].basis.to_rows()}, dual {g.to_rows()}")
 
-    check_cocycle(fan, bases)
-    tops = maximal_cones(fan)
-    for a in tops:
-        for b in tops:
-            if a != b:
-                m = gluing_map(bases[a], bases[b])
-                print(f"gluing {cone_key(a)} -> {cone_key(b)}: {m.exponents.to_rows()}")
+    for (a, b), m in check_cocycle(fan, bases).items():
+        if a != b:
+            print(f"gluing {cone_key(a)} -> {cone_key(b)}: {m.to_rows()}")
 
     quiver = fan_quiver(fan, bases)
     print(f"fan quiver: {len(quiver.vertices)} vertices, {len(quiver.arrow_pairs)} arrow pairs")

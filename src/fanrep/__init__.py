@@ -29,9 +29,7 @@ from .geometry import (
 from .charts import (
     CocycleError,
     IllPosedError,
-    MonomialMap,
     check_cocycle,
-    compose,
     gluing_map,
     stratum_loop_exponents,
 )

@@ -11,7 +11,6 @@ source coordinates x to y_i = prod_j x_j ** A[i][j].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import mul
 from typing import Dict, Iterable, Sequence
 
@@ -19,11 +18,9 @@ from .exactnum import IntMatrix, unimodular_inverse
 from .geometry import ChartBasis, Cone, Fan, maximal_cones
 
 __all__ = [
-    "MonomialMap",
     "CocycleError",
     "IllPosedError",
     "gluing_map",
-    "compose",
     "check_cocycle",
     "stratum_loop_exponents",
     "basis_coordinates",
@@ -42,24 +39,6 @@ class IllPosedError(ValueError):
     """A loop-exponent request names a vertex the chart cannot see."""
 
 
-@dataclass(frozen=True)
-class MonomialMap:
-    """Invertible monomial coordinate change between charts of equal dim."""
-
-    exponents: IntMatrix
-
-    def __post_init__(self):
-        if not self.exponents.is_unimodular():
-            raise ValueError("monomial transition must have |det| = 1")
-
-    @property
-    def dim(self) -> int:
-        return self.exponents.rows
-
-    def is_identity(self) -> bool:
-        return self.exponents == IntMatrix.identity(self.dim)
-
-
 def basis_coordinates(basis: ChartBasis, vector: Sequence[int]) -> Dict[int, int]:
     """Exact coordinates of an integer vector in a chart basis, by label."""
     vector = list(vector)
@@ -69,38 +48,34 @@ def basis_coordinates(basis: ChartBasis, vector: Sequence[int]) -> Dict[int, int
     return {label: sum(map(mul, inv.row(i), vector)) for i, label in enumerate(basis.labels)}
 
 
-def gluing_map(basis_k: ChartBasis, basis_kp: ChartBasis) -> MonomialMap:
+def gluing_map(basis_k: ChartBasis, basis_kp: ChartBasis) -> IntMatrix:
     """Exponent matrix of the transition from chart K to chart K'.
 
     A = B_K'^{-1} . B_K; row i gives the chart-K exponents of the i-th
     chart-K' coordinate.  When the charts coincide the result is the
-    identity.
+    identity.  Raises ValueError, through unimodular_inverse, when either
+    basis is not unimodular.
     """
     b_k = basis_k.basis
     b_kp = basis_kp.basis
     if b_k.shape != b_kp.shape:
         raise ValueError("charts live in different ambient dimensions")
-    return MonomialMap(unimodular_inverse(b_kp).mul(b_k))
+    unimodular_inverse(b_k)  # rejects B_K; cached, so no new determinant
+    return unimodular_inverse(b_kp).mul(b_k)
 
 
-def compose(m1: MonomialMap, m2: MonomialMap) -> MonomialMap:
-    """Composite monomial map, applying m2 first and then m1."""
-    if m1.dim != m2.dim:
-        raise ValueError(f"dimension mismatch: {m1.dim} vs {m2.dim}")
-    return MonomialMap(m1.exponents.mul(m2.exponents))
-
-
-def check_cocycle(fan: Fan, bases: Dict[Cone, ChartBasis]) -> None:
+def check_cocycle(fan: Fan, bases: Dict[Cone, ChartBasis]) -> Dict[tuple, IntMatrix]:
     """Verify h_JK.h_IJ = h_IK on every ordered triple (I, J, K) of maximal
-    charts, walking the pairs through the first maximal chart O.
+    charts, walking the pairs through the first maximal chart O, and
+    return the table {(I, J): h_IJ} of the m^2 transitions it checked.
 
     It checks the triples (J, J, J), which for an invertible h_JJ say
     h_JJ = I, and (I, O, J), and raises CocycleError on the first that
     fails.  They suffice: with I = J the second gives h_JO = h_OJ^-1, so
     h_JK.h_IJ = h_OK.h_JO.h_OJ.h_IO = h_OK.h_IO = h_IK.
-    Holds identically for bases produced by chart_bases (matrix
-    associativity); kept as a regression guard on index bookkeeping and
-    on user-supplied basis overrides.
+    h_IJ = B_J^-1.B_I satisfies the cocycle for every family of unimodular
+    bases, overrides included, so the walk guards gluing_map's index
+    order, not the input.
     """
     tops = maximal_cones(fan)
     glue = {
@@ -108,12 +83,12 @@ def check_cocycle(fan: Fan, bases: Dict[Cone, ChartBasis]) -> None:
         for a, b in itertools.product(tops, repeat=2)
     }
     failing = itertools.chain(
-        ((j, j, j) for j in tops if not glue[j, j].is_identity()),
+        ((j, j, j) for j in tops if glue[j, j] != IntMatrix.identity(fan.dim)),
         (
             (i, o, j)
             for o in tops[:1]
             for i, j in itertools.product(tops, repeat=2)
-            if compose(glue[o, j], glue[i, o]) != glue[i, j]
+            if glue[o, j].mul(glue[i, o]) != glue[i, j]
         ),
     )
     triple = next(failing, None)
@@ -121,6 +96,7 @@ def check_cocycle(fan: Fan, bases: Dict[Cone, ChartBasis]) -> None:
         raise CocycleError(
             triple, "cocycle fails on ({}, {}, {})".format(*(c.ray_indices for c in triple))
         )
+    return glue
 
 
 def stratum_loop_exponents(

@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import itertools
 import json
 import signal
 import sys
 from dataclasses import dataclass
 
-from .charts import CocycleError, check_cocycle, gluing_map
+from .charts import CocycleError, check_cocycle
 from .descent import DescentError, descent_from_json, glue, validate_descent
 from .exactnum import NotCompletableError, parse_digits
 from .geometry import (
@@ -25,7 +24,6 @@ from .geometry import (
     dual_cone_smooth,
     fan_from_json,
     is_smooth,
-    maximal_cones,
     validate_fan,
 )
 from .quivers import (
@@ -155,16 +153,16 @@ def cmd_fan_dual(args) -> CommandResult:
 def cmd_fan_gluing(args) -> CommandResult:
     try:
         fan, bases = _load_fan(args.path)
-        check_cocycle(fan, bases)
+        table = check_cocycle(fan, bases)
     except FanError as exc:
         return _single_violation(exc.axiom, exc.detail)
     except CocycleError as exc:
         return _single_violation("cocycle", str(exc))
-    gluings = {}
-    tops = maximal_cones(fan)
-    for a, b in itertools.permutations(tops, 2):
-        key = f"{cone_key(a) or '0'}|{cone_key(b) or '0'}"
-        gluings[key] = gluing_map(bases[a], bases[b]).exponents.to_rows()
+    gluings = {
+        f"{cone_key(a) or '0'}|{cone_key(b) or '0'}": m.to_rows()
+        for (a, b), m in table.items()
+        if a != b
+    }
     return CommandResult("ok", {"gluings": gluings, "cocycle": "ok"})
 
 

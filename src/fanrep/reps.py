@@ -341,9 +341,9 @@ class DirectionResolver:
     """
 
     def __init__(self, rep: Representation, fan: Fan, bases):
-        self._attach(rep, fan, bases, {}, {})
+        self._attach(rep, fan, bases, {})
 
-    def _attach(self, rep: Representation, fan: Fan, bases, operators: dict, powers: dict):
+    def _attach(self, rep: Representation, fan: Fan, bases, operators: dict):
         self.rep = rep
         self.fan = fan
         self.bases = bases
@@ -351,7 +351,7 @@ class DirectionResolver:
             label: basis.column(label) for basis in bases.values() for label in basis.labels
         }
         self._operators = operators
-        self._powers = powers
+        self._powers = {}
         self._expansions = {}
 
     def operator(self, vertex: Vertex, label: int) -> RatMatrix:
@@ -436,22 +436,21 @@ def validate_CDelta(
 
 class CDeltaCheck(NamedTuple):
     """A C_Delta check, as its representation keeps it: the fan and bases
-    checked against, the sorted violations, and the operator and power
-    caches of the check's resolver.  It holds no reference to the
-    representation, so a checked representation is no reference cycle."""
+    checked against, the sorted violations, and the operator cache of the
+    check's resolver.  It holds no reference to the representation, so a
+    checked representation is no reference cycle."""
 
     fan: Fan
     bases: dict
     verdict: tuple
     operators: dict
-    powers: dict
 
     def resolver(self, rep: Representation) -> DirectionResolver:
-        """The resolver of rep over this check's fan, bases and caches, so
-        it builds no operator or power the check built; it skips
-        DirectionResolver.__init__, which starts empty caches."""
+        """The resolver of rep over this check's fan, bases and operators,
+        so it builds no operator the check built; it skips
+        DirectionResolver.__init__, which starts an empty operator cache."""
         resolver = object.__new__(DirectionResolver)
-        resolver._attach(rep, self.fan, self.bases, self.operators, self.powers)
+        resolver._attach(rep, self.fan, self.bases, self.operators)
         return resolver
 
 
@@ -467,7 +466,7 @@ def cdelta_check(rep: Representation, fan: Fan, bases) -> CDeltaCheck:
         raise ValueError("representation quiver does not match the fan quiver")
     resolver = DirectionResolver(rep, fan, dict(bases))
     verdict = tuple(_check_CDelta(resolver))
-    check = CDeltaCheck(fan, resolver.bases, verdict, resolver._operators, resolver._powers)
+    check = CDeltaCheck(fan, resolver.bases, verdict, resolver._operators)
     object.__setattr__(rep, "_cdelta", check)
     return check
 

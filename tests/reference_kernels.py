@@ -53,8 +53,8 @@ no longer computes a Smith form.  It builds D from its row lists, so a
 was before it read its integers from ``mat_mul``.  ``check_cocycle`` is
 the walk ``fanrep.charts`` made over every ordered pair and every ordered
 triple of maximal charts before it walked the pairs through the first
-maximal chart; it composes with ``compose``, ``charts.compose`` over
-``int_mul``.  Both walks must raise ``CocycleError`` on the same inputs.
+maximal chart; it composes the exponent matrices with ``int_mul``.  Both
+walks must raise ``CocycleError`` on the same inputs.
 
 ``loop_reference`` is the scan of the maximal cones that
 ``fanrep.geometry`` made on every call before it kept one table per fan;
@@ -69,7 +69,7 @@ from typing import Dict, List
 
 from hypothesis import strategies as st
 
-from fanrep.charts import CocycleError, MonomialMap, gluing_map, stratum_loop_exponents
+from fanrep.charts import CocycleError, gluing_map, stratum_loop_exponents
 from fanrep.descent import DescentError, validate_descent
 from fanrep.exactnum import IntMatrix, NotInvertibleError, RatMatrix
 from fanrep.geometry import ChartBasis, Cone, Fan, FanError, cone_key, maximal_cones
@@ -581,13 +581,6 @@ def int_mul(self: IntMatrix, other: IntMatrix) -> IntMatrix:
     return IntMatrix(self.rows, other.cols, out)
 
 
-def compose(m1: MonomialMap, m2: MonomialMap) -> MonomialMap:
-    """Composite monomial map, applying m2 first and then m1."""
-    if m1.dim != m2.dim:
-        raise ValueError(f"dimension mismatch: {m1.dim} vs {m2.dim}")
-    return MonomialMap(int_mul(m1.exponents, m2.exponents))
-
-
 def check_cocycle(fan, bases: Dict[Cone, ChartBasis]) -> None:
     """Verify h_IJ then h_JK equals h_IK on every ordered maximal triple.
 
@@ -601,16 +594,16 @@ def check_cocycle(fan, bases: Dict[Cone, ChartBasis]) -> None:
         for a, b in itertools.product(tops, repeat=2)
     }
     for i, j in itertools.product(tops, repeat=2):
-        pair = compose(glue[j, i], glue[i, j])
-        if not pair.is_identity():
+        pair = int_mul(glue[j, i], glue[i, j])
+        if pair != IntMatrix.identity(pair.rows):
             raise CocycleError(
                 (i, j),
                 f"transition {i.ray_indices}->{j.ray_indices} composed with its "
                 "reverse is not the identity",
             )
     for i, j, k in itertools.product(tops, repeat=3):
-        left = compose(glue[j, k], glue[i, j])
-        if left.exponents != glue[i, k].exponents:
+        left = int_mul(glue[j, k], glue[i, j])
+        if left != glue[i, k]:
             raise CocycleError(
                 (i, j, k),
                 f"cocycle fails on ({i.ray_indices}, {j.ray_indices}, {k.ray_indices})",

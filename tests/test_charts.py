@@ -1,24 +1,27 @@
 """Chart transitions: gluing exponents, cocycles, loop transport."""
 
 import itertools
+import json
+import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
-from fanrep import charts
+from fanrep import charts, cli
 from fanrep.charts import (
     CocycleError,
     IllPosedError,
-    MonomialMap,
     basis_coordinates,
     check_cocycle,
-    compose,
     gluing_map,
     stratum_loop_exponents,
 )
 from fanrep.exactnum import IntMatrix, unimodular_inverse
-from fanrep.geometry import ChartBasis, Cone, Fan, chart_bases, maximal_cones
+from fanrep.geometry import ChartBasis, Cone, Fan, chart_bases, fan_from_json, fan_to_json, maximal_cones
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def p1_setup():
@@ -35,12 +38,12 @@ class TestGluingMap:
     def test_same_chart_is_identity(self):
         fan, bases = p1_setup()
         b = bases[Cone((1,))]
-        assert gluing_map(b, b).is_identity()
+        assert gluing_map(b, b) == IntMatrix.identity(1)
 
     def test_p1_inversion(self):
         fan, bases = p1_setup()
         a = gluing_map(bases[Cone((1,))], bases[Cone((2,))])
-        assert a.exponents == IntMatrix.from_rows([[-1]])
+        assert a == IntMatrix.from_rows([[-1]])
 
     def test_p2_pairs_are_mutually_inverse(self):
         fan, bases = p2_setup()
@@ -49,7 +52,7 @@ class TestGluingMap:
             for j in tops:
                 fwd = gluing_map(bases[i], bases[j])
                 back = gluing_map(bases[j], bases[i])
-                assert compose(back, fwd).is_identity()
+                assert back.mul(fwd) == IntMatrix.identity(2)
 
     def test_p2_triple_composite_is_identity(self):
         fan, bases = p2_setup()
@@ -57,29 +60,14 @@ class TestGluingMap:
         a = gluing_map(bases[k12], bases[k13])
         b = gluing_map(bases[k13], bases[k23])
         c = gluing_map(bases[k23], bases[k12])
-        assert compose(c, compose(b, a)).is_identity()
+        assert c.mul(b.mul(a)) == IntMatrix.identity(2)
 
-
-class TestCompose:
-    def test_identity_neutral(self):
-        m = MonomialMap(IntMatrix.from_rows([[1, 1], [0, 1]]))
-        ident = MonomialMap(IntMatrix.identity(2))
-        assert compose(ident, m) == m
-        assert compose(m, ident) == m
-
-    def test_inversion_involution(self):
-        m = MonomialMap(IntMatrix.from_rows([[-1]]))
-        assert compose(m, m).is_identity()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(
-                MonomialMap(IntMatrix.identity(1)), MonomialMap(IntMatrix.identity(2))
-            )
-
-    def test_non_unimodular_rejected(self):
-        with pytest.raises(ValueError):
-            MonomialMap(IntMatrix.from_rows([[2]]))
+    def test_non_unimodular_basis_is_rejected_in_either_position(self):
+        good = ChartBasis(cone=Cone((1,)), labels=(1, 3), basis=IntMatrix.identity(2))
+        bad = ChartBasis(cone=Cone((2,)), labels=(2, 4), basis=IntMatrix.from_rows([[2, 0], [0, 1]]))
+        for k, kp in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError):
+                gluing_map(k, kp)
 
 
 class TestCocycle:
@@ -117,18 +105,80 @@ def p1_cubed_setup():
 
 def test_cocycle_walk_composes_once_per_chart_pair(monkeypatch):
     """The walk through the first chart makes m^2 compositions on m charts;
-    the pair and triple walks made m^2 + m^3 (576 on (P1)^3)."""
+    the pair and triple walks made m^2 + m^3 (576 on (P1)^3).  The
+    transitions are built before the count, so the products inside
+    gluing_map are not counted."""
     fan, bases = p1_cubed_setup()
-    assert len(maximal_cones(fan)) == 8
+    tops = maximal_cones(fan)
+    assert len(tops) == 8
+    table = {(a, b): gluing_map(bases[a], bases[b]) for a, b in itertools.product(tops, repeat=2)}
     calls = []
+    real = IntMatrix.mul
 
-    def counting(m1, m2):
-        calls.append((m1, m2))
-        return compose(m1, m2)
+    def counting(self, other):
+        calls.append((self, other))
+        return real(self, other)
 
-    monkeypatch.setattr(charts, "compose", counting)
+    monkeypatch.setattr(charts, "gluing_map", lambda k, kp: table[k.cone, kp.cone])
+    monkeypatch.setattr(IntMatrix, "mul", counting)
     check_cocycle(fan, bases)
     assert len(calls) <= 64
+
+
+def fixture_setup(name):
+    fan, overrides = fan_from_json(json.loads((FIXTURES / name).read_text()))
+    return fan, chart_bases(fan, overrides)
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [p1_setup, p2_setup, p1_cubed_setup, lambda: fixture_setup("fan_cxcstar_override.json")],
+    ids=["P1", "P2", "(P1)^3", "fan_cxcstar_override"],
+)
+def test_cocycle_returns_every_transition_it_checked(setup):
+    fan, bases = setup()
+    tops = maximal_cones(fan)
+    assert check_cocycle(fan, bases) == {
+        (a, b): gluing_map(bases[a], bases[b]) for a, b in itertools.product(tops, repeat=2)
+    }
+
+
+def test_fan_gluing_builds_each_transition_once(tmp_path, monkeypatch, capsys):
+    """fan gluing on (P1)^3 builds each of the 8^2 transitions once, in
+    check_cocycle, and prints from its table; with the bases' inverses
+    cached, it computes no determinant beyond those chart_bases computes."""
+    fan, _ = p1_cubed_setup()
+    path = tmp_path / "fan_p1_cubed.json"
+    path.write_text(json.dumps(fan_to_json(fan)))
+    argv = ["fan", "gluing", str(path)]
+    assert cli.main(argv) == 0  # fills unimodular_inverse's cache
+    first = capsys.readouterr().out
+    dets, glued = [], []
+    real_det = IntMatrix.det
+
+    def det(self):
+        dets.append(self)
+        return real_det(self)
+
+    def profile(frame, event, arg):
+        # counts gluing_map calls through any name bound to it
+        if event == "call" and frame.f_code is gluing_map.__code__:
+            glued.append(frame.f_locals["basis_k"])
+
+    monkeypatch.setattr(IntMatrix, "det", det)
+    chart_bases(fan)
+    completion_dets = len(dets)
+    assert completion_dets == 8
+    dets.clear()
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        sys.setprofile(outer)
+    assert len(glued) == 64
+    assert len(dets) == completion_dets
+    assert capsys.readouterr().out == first
 
 
 @st.composite
@@ -151,7 +201,7 @@ def cocycle_raises(check, fan, family) -> tuple:
     gluing_map reading family and each chart cone standing for its basis."""
     with pytest.MonkeyPatch.context() as mp:
         for module in (charts, ref):
-            mp.setattr(module, "gluing_map", lambda k, kp: MonomialMap(family[k, kp]))
+            mp.setattr(module, "gluing_map", lambda k, kp: family[k, kp])
         try:
             check(fan, {c: c for c in maximal_cones(fan)})
         except CocycleError as exc:
@@ -234,38 +284,12 @@ class TestLoopTransportExponents:
                 for kp in tops:
                     if k == kp:
                         continue
-                    a = gluing_map(bases[k], bases[kp]).exponents
+                    a = gluing_map(bases[k], bases[kp])
                     for col, label in enumerate(bases[k].labels):
                         vector = bases[k].column(label)
                         coords = basis_coordinates(bases[kp], vector)
                         expected = [coords[lab] for lab in bases[kp].labels]
                         assert list(a.col(col)) == expected
-
-
-@st.composite
-def unimodular_2x2(draw):
-    m = [[1, 0], [0, 1]]
-    for _ in range(draw(st.integers(min_value=1, max_value=5))):
-        c = draw(st.integers(min_value=-2, max_value=2))
-        which = draw(st.booleans())
-        if which:
-            m[0] = [m[0][0] + c * m[1][0], m[0][1] + c * m[1][1]]
-        else:
-            m[1] = [m[1][0] + c * m[0][0], m[1][1] + c * m[0][1]]
-    return IntMatrix.from_rows(m)
-
-
-@given(unimodular_2x2(), unimodular_2x2())
-@settings(max_examples=50)
-def test_compose_matches_exponent_product(a, b):
-    m = compose(MonomialMap(a), MonomialMap(b))
-    assert m.exponents == a.mul(b)
-
-
-@given(unimodular_2x2())
-def test_inverse_roundtrip(a):
-    m = MonomialMap(a)
-    assert compose(MonomialMap(unimodular_inverse(a)), m).is_identity()
 
 
 @given(st.data())

@@ -1,11 +1,13 @@
 """Descent data: validation, gluing, and the section round trips."""
 
 import gc
+import importlib.util
 import itertools
 import json
 import pathlib
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -1018,6 +1020,32 @@ class TestNoResolverBuiltTwice:
         back = section(glued, d.fan, d.bases)
         assert built == [] and powers == []
         assert glue(back) == glued
+
+    def test_section_builds_no_operator_on_the_benchmark_round(self, monkeypatch):
+        """On the 29 data of round 0 of the seed-0 descent_glue benchmark
+        workload, validate, glue, validate_CDelta then section: section
+        reads every operator it needs from the check, so it builds none
+        and takes no power: the check need keep no power cache."""
+        path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, inputs)
+        spec.loader.exec_module(inputs)
+        items = next(inputs.generate("descent_glue", 0))
+        assert len(items) == 29
+        built, powers = [], []
+        real_operator, real_power = DirectionResolver._operator, RatMatrix.power
+        for item in items:
+            (name,) = item.job
+            d = descent_from_json(item.files[name][1])
+            assert validate_descent(d) == []
+            glued = glue(d)
+            assert validate_CDelta(glued, d.fan, d.bases) == []
+            with monkeypatch.context() as mp:
+                mp.setattr(DirectionResolver, "_operator", lambda *a: built.append(a) or real_operator(*a))
+                mp.setattr(RatMatrix, "power", lambda *a: powers.append(a) or real_power(*a))
+                section(glued, d.fan, d.bases)
+        assert built == [] and powers == []
 
 
 class TestEachBuildOnce:
