@@ -43,6 +43,7 @@ from .reps import (
     check_squares,
     edge_key,
     overlap_operators,
+    reference_operators,
     rep_from_json,
     rep_to_json,
     violation_sort_key,
@@ -251,18 +252,6 @@ def _check_descent(d: DescentDatum) -> List[Violation]:
                 if lhs != rhs
             ]
 
-    for a, b, j, p, op, product in overlap_operators(d.bases, resolvers):
-        # dj^-1 . op_b . dj == the chart-a product, multiplied through by dj
-        dj = d.delta(a, b, j)
-        if mat_mul(op, dj) != mat_mul(dj, product):
-            out.append(
-                Violation(
-                    "transport",
-                    (cone_key(a), cone_key(b), vertex_key(j), p),
-                    "conjugated monodromy does not match the exponent product",
-                )
-            )
-
     # the deltas are exact inverse pairs, so the six orders of a triple
     # hold or fail together: one product per unordered triple, and a
     # violation for each order
@@ -279,7 +268,26 @@ def _check_descent(d: DescentDatum) -> List[Violation]:
                     )
                     for order in itertools.permutations(triple)
                 ]
+
+    # transport through each vertex's reference chart holds for every
+    # pair once the checks above pass; every pair is walked only to report
+    if out or not all(_transports(d, *t) for t in reference_operators(d.fan, d.bases, resolvers)):
+        out += [
+            Violation(
+                "transport",
+                (cone_key(a), cone_key(b), vertex_key(j), p),
+                "conjugated monodromy does not match the exponent product",
+            )
+            for a, b, j, p, op, product in overlap_operators(d.bases, resolvers)
+            if not _transports(d, a, b, j, p, op, product)
+        ]
     return sorted(out, key=violation_sort_key)
+
+
+def _transports(d: DescentDatum, a: Cone, b: Cone, j: Vertex, p: int, op, product) -> bool:
+    """dj^-1 . op . dj == product, multiplied through by dj = delta(a, b, j)."""
+    dj = d.delta(a, b, j)
+    return mat_mul(op, dj) == mat_mul(dj, product)
 
 
 def glue(d: DescentDatum) -> Representation:

@@ -683,7 +683,9 @@ def complete_to_unimodular(vectors: Sequence[Sequence[int]], n: int) -> IntMatri
                 "vectors span a non-saturated sublattice "
                 f"(Hermite pivot {h.entry(r, pivots[r])} != 1)"
             )
-    if not uinv.is_unimodular():
+    try:
+        unimodular_inverse(uinv)  # cached, so a chart basis's inverse takes no new determinant
+    except ValueError:
         raise AssertionError("completion is not unimodular; this is a bug")
     return uinv
 

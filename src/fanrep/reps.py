@@ -54,6 +54,7 @@ __all__ = [
     "validate_CSigma",
     "validate_CDelta",
     "overlap_operators",
+    "reference_operators",
     "hom_basis",
     "are_isomorphic",
     "direct_sum",
@@ -413,20 +414,51 @@ def overlap_operators(bases: Dict[Cone, ChartBasis], resolvers):
         overlap = tuple(sorted(set(k.ray_indices) & set(kp.ray_indices)))
         labels = [p for p in bases[kp].labels if p not in overlap]
         for j in subsets(overlap):
-            for p in labels:
-                try:
-                    op = resolvers[kp].operator(j, p)
-                    product = resolvers[k].expansion(j, k, resolvers[kp].vectors[p])
-                except NotInvertibleError:
-                    continue
-                yield k, kp, j, p, op, product
+            yield from _overlap_tuples(resolvers, k, kp, j, labels)
+
+
+def reference_operators(fan: Fan, bases: Dict[Cone, ChartBasis], resolvers):
+    """The tuples of overlap_operators whose first chart is R_J =
+    loop_reference(fan, J), for each face J of a maximal cone K' != R_J
+    and label p of K' outside R_J.  If every other condition holds, these
+    hold only if all of overlap_operators do.
+
+    C_Delta, one resolver: (i), (ii) and the loop checks make R_J's basis
+    operators at J commute (its rays span squares at J, and loops commute
+    with the monodromies they transport along), so rho_J, R_J's expansion
+    at J, is a homomorphism, trivial on the rays in J.  The resolver reads
+    each label at J as rho_J of its vector, except the rays r of J's star
+    outside R_J compared here, so chart K's product of v_p is rho_J(v_p).
+
+    Descent, one resolver per chart: each rho^K_J is a homomorphism, and
+    conjugation and these tuples give rho^K_J = d.rho^R_J.d^-1 on K's
+    basis, d = delta(R_J, K, J).  The cocycle delta(R_J, b, J) =
+    delta(a, b, J).delta(R_J, a, J) carries that to every pair (a, b)."""
+    for kp in sorted(bases, key=lambda c: c.ray_indices):
+        for face in kp.faces():
+            k = loop_reference(fan, face)
+            if k.ray_indices != kp.ray_indices:
+                labels = [p for p in bases[kp].labels if p not in k.ray_indices]
+                yield from _overlap_tuples(resolvers, k, kp, face.ray_indices, labels)
+
+
+def _overlap_tuples(resolvers, k: Cone, kp: Cone, j: Vertex, labels):
+    own, other = resolvers[kp], resolvers[k]
+    for p in labels:
+        try:
+            op = own.operator(j, p)
+            product = other.expansion(j, k, own.vectors[p])
+        except NotInvertibleError:
+            continue
+        yield k, kp, j, p, op, product
 
 
 def validate_CDelta(
     rep: Representation, fan: Fan, bases=None
 ) -> List[Violation]:
     """Fan category: (i), (ii), loop coherence, and (iii) the monodromy
-    relations between overlapping charts, over overlap_operators.
+    relations between overlapping charts, over reference_operators, and
+    over overlap_operators for the report when any condition fails.
     The verdict is computed once per (rep, fan, bases) by cdelta_check;
     each call returns a fresh list."""
     if bases is None:
@@ -474,15 +506,20 @@ def cdelta_check(rep: Representation, fan: Fan, bases) -> CDeltaCheck:
 def _check_CDelta(resolver: DirectionResolver) -> List[Violation]:
     rep, bases = resolver.rep, resolver.bases
     out = check_invertibility(resolver) + check_squares(rep) + check_loops(resolver)
-    for k, kp, j, p, lhs, rhs in overlap_operators(bases, dict.fromkeys(bases, resolver)):
-        if lhs != rhs:
-            out.append(
-                Violation(
-                    "iii",
-                    (cone_key(k), cone_key(kp), vertex_key(j), p),
-                    _diff_detail(lhs, rhs),
-                )
-            )
+    resolvers = dict.fromkeys(bases, resolver)
+    # one pair per ray of J's star outside R_J: other labels read at J as
+    # the product itself, and a ray shared by charts repeats its pair
+    rays = {
+        (j, p): (lhs, rhs)
+        for _, _, j, p, lhs, rhs in reference_operators(resolver.fan, bases, resolvers)
+        if p <= len(resolver.fan.rays)
+    }
+    if out or any(lhs != rhs for lhs, rhs in rays.values()):
+        out += [
+            Violation("iii", (cone_key(k), cone_key(kp), vertex_key(j), p), _diff_detail(lhs, rhs))
+            for k, kp, j, p, lhs, rhs in overlap_operators(bases, resolvers)
+            if lhs != rhs
+        ]
     return sorted(out, key=violation_sort_key)
 
 

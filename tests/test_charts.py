@@ -145,14 +145,13 @@ def test_cocycle_returns_every_transition_it_checked(setup):
 
 def test_fan_gluing_builds_each_transition_once(tmp_path, monkeypatch, capsys):
     """fan gluing on (P1)^3 builds each of the 8^2 transitions once, in
-    check_cocycle, and prints from its table; with the bases' inverses
-    cached, it computes no determinant beyond those chart_bases computes."""
+    check_cocycle, and prints from its table.  On a cold cache it computes
+    one determinant per chart basis: complete_to_unimodular checks each
+    completion through unimodular_inverse, whose cached inverse gluing_map
+    reads.  A repeat computes none."""
     fan, _ = p1_cubed_setup()
     path = tmp_path / "fan_p1_cubed.json"
     path.write_text(json.dumps(fan_to_json(fan)))
-    argv = ["fan", "gluing", str(path)]
-    assert cli.main(argv) == 0  # fills unimodular_inverse's cache
-    first = capsys.readouterr().out
     dets, glued = [], []
     real_det = IntMatrix.det
 
@@ -165,20 +164,22 @@ def test_fan_gluing_builds_each_transition_once(tmp_path, monkeypatch, capsys):
         if event == "call" and frame.f_code is gluing_map.__code__:
             glued.append(frame.f_locals["basis_k"])
 
+    def fan_gluing():
+        dets.clear()
+        glued.clear()
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            assert cli.main(["fan", "gluing", str(path)]) == 0
+        finally:
+            sys.setprofile(outer)
+        return len(dets), len(glued), capsys.readouterr().out
+
     monkeypatch.setattr(IntMatrix, "det", det)
-    chart_bases(fan)
-    completion_dets = len(dets)
-    assert completion_dets == 8
-    dets.clear()
-    outer = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        assert cli.main(argv) == 0
-    finally:
-        sys.setprofile(outer)
-    assert len(glued) == 64
-    assert len(dets) == completion_dets
-    assert capsys.readouterr().out == first
+    unimodular_inverse.cache_clear()
+    cold = fan_gluing()
+    assert cold[:2] == (8, 64)
+    assert fan_gluing() == (0, 64, cold[2])
 
 
 @st.composite

@@ -37,7 +37,6 @@ from fanrep.reps import (
     DirectionResolver,
     Morphism,
     Representation,
-    Violation,
     hom_basis,
     rep_to_json,
     validate_CDelta,
@@ -904,6 +903,24 @@ def invertible(n, pick):
     return mat_mul(RatMatrix(n, n, upper), RatMatrix(n, n, lower))
 
 
+def character(p, lams):
+    """The torus character chi(m) = p.diag(prod_i lams[j][i] ** m_i).p^-1:
+    its operators commute, and two characters of one p share an
+    eigenbasis."""
+    n = p.rows
+    p_inv = invert(p)
+
+    def chi(m):
+        diag = [
+            prod((lam ** k for lam, k in zip(lams[i], m)), start=Fraction(1)) if i == j else 0
+            for i in range(n)
+            for j in range(n)
+        ]
+        return mat_mul(mat_mul(p, RatMatrix(n, n, diag)), p_inv)
+
+    return chi
+
+
 def twisted_datum(fan, n, pick, eigenvalues=EIGENVALUES):
     """A valid descent datum of dimension n at every vertex, built as the
     benchmark builds its descent data.  A torus character chi(m) =
@@ -914,17 +931,7 @@ def twisted_datum(fan, n, pick, eigenvalues=EIGENVALUES):
     eigenvalues.  pick(options) chooses one of options, so a hypothesis
     draw and a seeded random.Random both serve."""
     p = invertible(n, pick)
-    p_inv = invert(p)
-    lams = [[pick(eigenvalues) for _ in range(fan.dim)] for _ in range(n)]
-
-    def chi(m):
-        diag = [
-            prod((lam ** k for lam, k in zip(lams[i], m)), start=Fraction(1)) if i == j else 0
-            for i in range(n)
-            for j in range(n)
-        ]
-        return mat_mul(mat_mul(p, RatMatrix(n, n, diag)), p_inv)
-
+    chi = character(p, [[pick(eigenvalues) for _ in range(fan.dim)] for _ in range(n)])
     bases = chart_bases(fan)
     tops = maximal_cones(fan)
     ident = RatMatrix.identity(n)
@@ -1089,6 +1096,72 @@ class TestEachBuildOnce:
         assert built == []
 
 
+class TestReferenceWalk:
+    """On the glued (P^1)^3 x C* datum of TestEachBuildOnce, transport and
+    relation (iii) are checked through each vertex's reference chart: 85
+    transport comparisons and 27 (iii) comparisons, one per ray of a
+    vertex's star outside its reference chart, where the walk over every
+    chart pair makes 368 of each.  That walk runs only for a report."""
+
+    def counting(self, monkeypatch):
+        """Lists of the full walks started, the reference walk's tuples,
+        the transport comparisons and the operator pairs compared by !=."""
+        full, walked, transports, compared = [], [], [], []
+        real_full, real_walk = reps.overlap_operators, reps.reference_operators
+        real_transports, real_ne = descent._transports, RatMatrix.__ne__
+
+        def full_walk(*args):
+            full.append(args)
+            return real_full(*args)
+
+        def reference_walk(*args):
+            for row in real_walk(*args):
+                walked.append(row)
+                yield row
+
+        for module in (reps, descent):
+            monkeypatch.setattr(module, "overlap_operators", full_walk)
+            monkeypatch.setattr(module, "reference_operators", reference_walk)
+        monkeypatch.setattr(descent, "_transports", lambda *a: transports.append(a) or real_transports(*a))
+        monkeypatch.setattr(RatMatrix, "__ne__", lambda a, b: compared.append((a, b)) or real_ne(a, b))
+        return full, walked, transports, compared
+
+    def test_a_valid_datum_takes_only_the_reference_walk(self, monkeypatch):
+        d = twisted_datum(product_fan(3, 1), 2, random.Random(7).choice)
+        full, walked, transports, compared = self.counting(monkeypatch)
+        assert validate_descent(d) == []
+        assert (len(full), len(walked), len(transports)) == (0, 85, 85)
+        glued = glue(d)
+        walked.clear()
+        compared.clear()
+        assert validate_CDelta(glued, d.fan, d.bases) == []
+        ops = {(id(row[4]), id(row[5])) for row in walked}
+        assert sum((id(a), id(b)) in ops for a, b in compared) == 27
+        assert {(j, p) for _, _, j, p, _, _ in walked if p <= len(d.fan.rays)} == {
+            (j, r)
+            for j in glued.quiver.vertices
+            for r in range(1, len(d.fan.rays) + 1)
+            if glued.quiver.has_edge(j, tuple(sorted(j + (r,))))
+            and r not in loop_reference(d.fan, Cone(j)).ray_indices
+        }
+        assert full == []
+
+    def test_a_planted_fault_runs_the_full_walk(self, monkeypatch):
+        d = twisted_datum(product_fan(3, 1), 2, random.Random(7).choice)
+        bad = scaled_loops(d, maximal_cones(d.fan)[-1])
+        p = invertible(2, random.Random(7).choice)
+        chi = character(p, [[Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2)]] * 2)
+        other = character(p, [[Fraction(3), Fraction(2), Fraction(-2), Fraction(1, 2)]] * 2)
+        rep, bases = character_rep(d.fan, 2, random.Random(7).choice, chi, (2, other))
+        full, _, _, _ = self.counting(monkeypatch)
+        got = validate_descent(bad)
+        assert len(full) == 1
+        assert got and violation_rows(got) == violation_rows(ref.transport_violations(bad))
+        got = validate_CDelta(rep, d.fan, bases)
+        assert len(full) == 2
+        assert got and violation_rows(got) == violation_rows(ref.iii_violations(rep, d.fan, bases))
+
+
 def assert_loop_references_match_the_scan(fan):
     """Every set of ray indices, in the fan or not, and one past the rays."""
     for cone in Cone((*range(1, len(fan.rays) + 1), len(fan.rays) + 1)).faces():
@@ -1206,6 +1279,16 @@ def perturb(rep, pick, count):
     return Representation(rep.quiver, dict(rep.dims), maps["u"], maps["v"], maps["loops"])
 
 
+def violation_rows(violations, condition=None):
+    """The violations, of one condition if given, as (condition, location,
+    detail) rows in report order."""
+    return [
+        (v.condition, v.location, v.detail)
+        for v in sorted(violations, key=violation_sort_key)
+        if condition in (None, v.condition)
+    ]
+
+
 @st.composite
 def perturbed_data(draw):
     """A twisted descent datum with up to two maps of one chart replaced,
@@ -1224,17 +1307,128 @@ def perturbed_data(draw):
 @settings(max_examples=60, deadline=None)
 def test_iii_and_transport_match_the_reference_walks(case):
     d, glued = case
-
-    def rows(violations, condition):
-        return sorted(
-            ((v.condition, v.location, v.detail) for v in violations if v.condition == condition),
-            key=lambda row: violation_sort_key(Violation(*row)),
-        )
-
     got = validate_CDelta(glued, d.fan, d.bases)
-    assert rows(got, "iii") == rows(ref.iii_violations(glued, d.fan, d.bases), "iii")
+    assert violation_rows(got, "iii") == violation_rows(ref.iii_violations(glued, d.fan, d.bases), "iii")
     got = validate_descent(d)
-    assert rows(got, "transport") == rows(ref.transport_violations(d), "transport")
+    assert violation_rows(got, "transport") == violation_rows(ref.transport_violations(d), "transport")
+
+
+def hirzebruch_fan(a):
+    """F_a: rays e_1, e_2, -e_1 + a.e_2 and -e_2, consecutive pairs spanning
+    the four charts."""
+    rays = [(1, 0), (0, 1), (-1, a), (0, -1)]
+    return Fan(2, rays, [(), (1,), (2,), (3,), (4,), (1, 2), (2, 3), (3, 4), (1, 4)])
+
+
+def p3_fan():
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    return Fan(3, rays, [c for r in range(4) for c in itertools.combinations(range(1, 5), r)])
+
+
+def character_rep(fan, n, pick, chi, twisted=(None, None)):
+    """chi as a fan-quiver representation of dimension n at every vertex,
+    each vertex J twisted by a random g_J as in twisted_datum: the arrows
+    that add ray r carry chi(v_r), or other(v_r) for (r, other) = twisted,
+    and the loops at J carry chi of R_J's completion columns."""
+    bases = chart_bases(fan)
+    quiver = fan_quiver(fan, bases)
+    g = {vtx: invertible(n, pick) for vtx in quiver.vertices}
+    g_inv = {vtx: invert(mat) for vtx, mat in g.items()}
+    ray, other = twisted
+    u, v = {}, {}
+    for low, high in quiver.arrow_pairs:
+        (added,) = set(high) - set(low)
+        ray_op = (other if added == ray else chi)(fan.ray_vector(added)).sub(RatMatrix.identity(n))
+        u[(low, high)] = mat_mul(g[high], g_inv[low])
+        v[(low, high)] = mat_mul(mat_mul(g[low], ray_op), g_inv[high])
+    loops = {}
+    for vtx in quiver.vertices:
+        reference = bases[loop_reference(fan, Cone(vtx))]
+        for label in quiver.loops[vtx]:
+            loops[(vtx, label)] = mat_mul(mat_mul(g[vtx], chi(reference.column(label))), g_inv[vtx])
+    return Representation(quiver, {vtx: n for vtx in quiver.vertices}, u, v, loops), bases
+
+
+def scaled_loops(d, cone):
+    """d with chart cone's loops scaled by 2: every chart stays valid, and
+    only transport can fail."""
+    chart = d.charts[cone]
+    loops = {key: mat.scale(2) for key, mat in chart.loop_maps.items()}
+    scaled = Representation(chart.quiver, dict(chart.dims), dict(chart.u), dict(chart.v), loops)
+    return DescentDatum(d.fan, {**d.charts, cone: scaled}, d.stored_deltas(), bases=d.bases)
+
+
+# torus characters fail (iii) and transport on these fans under the
+# current rule; on product fans they hold until a fault is planted
+CHARACTER_FANS = [p2_fan(), *map(hirzebruch_fan, (1, 2, 3)), p3_fan()]
+PRODUCT_FANS = [product_fan(1, 1), product_fan(2, 1)]
+
+
+@st.composite
+def iii_cases(draw):
+    """A representation whose only possible violations are of (iii): a
+    character on P^2, F_1-F_3 or P^3, or on a product fan with the arrows
+    of one ray taken from a second character of the same eigenbasis."""
+    pick = lambda options: draw(st.sampled_from(list(options)))
+    fan = pick(CHARACTER_FANS + PRODUCT_FANS)
+    n = draw(st.integers(min_value=1, max_value=2))
+    p = invertible(n, pick)
+    lams = lambda: [[pick(EIGENVALUES) for _ in range(fan.dim)] for _ in range(n)]
+    chi = character(p, lams())
+    twisted = (None, None)
+    if fan in PRODUCT_FANS:
+        twisted = (pick(range(1, len(fan.rays) + 1)), character(p, lams()))
+    rep, bases = character_rep(fan, n, pick, chi, twisted)
+    return rep, fan, bases
+
+
+@st.composite
+def transport_cases(draw):
+    """A descent datum whose only possible violations are of transport: a
+    character datum on P^2, F_1-F_3 or P^3, or one on a product fan with
+    one chart's loops scaled by 2."""
+    pick = lambda options: draw(st.sampled_from(list(options)))
+    fan = pick(CHARACTER_FANS + PRODUCT_FANS)
+    d = twisted_datum(fan, draw(st.integers(min_value=1, max_value=2)), pick)
+    return scaled_loops(d, pick(maximal_cones(fan))) if fan in PRODUCT_FANS else d
+
+
+def reference_walk_fails_iii(rep, fan, bases) -> bool:
+    resolver = DirectionResolver(rep, fan, dict(bases))
+    walk = reps.reference_operators(fan, bases, dict.fromkeys(bases, resolver))
+    return any(lhs != rhs for *_, lhs, rhs in walk)
+
+
+def reference_walk_fails_transport(d) -> bool:
+    resolvers = {
+        cone: DirectionResolver(chart, d.fan, {cone: d.bases[cone]}) for cone, chart in d.charts.items()
+    }
+    walk = reps.reference_operators(d.fan, d.bases, resolvers)
+    return any(
+        mat_mul(op, d.delta(a, b, j)) != mat_mul(d.delta(a, b, j), product)
+        for a, b, j, _, op, product in walk
+    )
+
+
+@given(iii_cases())
+@settings(max_examples=60, deadline=None)
+def test_reference_walk_finds_every_iii_fault(case):
+    """Every other condition holds, so validate_CDelta trusts the walk
+    through each vertex's reference chart: it fails exactly when the
+    reference's walk over every chart pair does, and the report is the
+    reference's."""
+    rep, fan, bases = case
+    want = ref.iii_violations(rep, fan, bases)
+    assert violation_rows(validate_CDelta(rep, fan, bases)) == violation_rows(want)
+    assert reference_walk_fails_iii(rep, fan, bases) == bool(want)
+
+
+@given(transport_cases())
+@settings(max_examples=60, deadline=None)
+def test_reference_walk_finds_every_transport_fault(d):
+    want = ref.transport_violations(d)
+    assert violation_rows(validate_descent(d)) == violation_rows(want)
+    assert reference_walk_fails_transport(d) == bool(want)
 
 
 @st.composite
