@@ -66,6 +66,17 @@ def p1_descent(m1, m2, delta=1):
     return DescentDatum(fan, charts, {(k1, k2, ()): scalar(delta)}, bases=bases)
 
 
+def cxcstar_fan():
+    return Fan(2, [(1, 0)], [(), (1,)])
+
+
+def cxcstar_maps(v, loop_low, loop_high):
+    """u = 1, the given v and loop maps on the one arrow and the two
+    vertices of the C x C* quiver, whose every vertex carries loop 2."""
+    edge = ((), (1,))
+    return {edge: scalar(1)}, {edge: scalar(v)}, {((), 2): scalar(loop_low), ((1,), 2): scalar(loop_high)}
+
+
 def main():
     FIXTURES.mkdir(parents=True, exist_ok=True)
 
@@ -73,7 +84,7 @@ def main():
     dump("fan_p1.json", fan_to_json(p1_fan()))
     dump("fan_p2.json", fan_to_json(p2_fan()))
     dump("fan_c2.json", fan_to_json(Fan.from_single_cone(2, [(1, 0), (0, 1)])))
-    dump("fan_cxcstar.json", fan_to_json(Fan(2, [(1, 0)], [(), (1,)])))
+    dump("fan_cxcstar.json", fan_to_json(cxcstar_fan()))
     dump("fan_nonsmooth.json", fan_to_json(Fan.from_single_cone(2, [(1, 0), (1, 2)])))
     dump("fan_missing_zero_cone.json", {"dim": 1, "rays": [[1], [-1]], "cones": [[1], [2]]})
     dump("fan_nonprimitive_ray.json", {"dim": 1, "rays": [[2]], "cones": [[], [1]]})
@@ -165,6 +176,16 @@ def main():
         },
     )
 
+    # the loop 2 at the two ends does not transport along u or v
+    cxcstar_quiver = fan_quiver(cxcstar_fan())
+    dump(
+        "rep_cxcstar_loop_bad.json",
+        rep_to_json(
+            Representation(cxcstar_quiver, {(): 1, (1,): 1}, *cxcstar_maps(1, 2, 3)),
+            include_quiver=False,
+        ),
+    )
+
     loop_quiver = {"vertices": [[]], "arrows": [], "loops": {"": [1]}}
     dump(
         "rep_loop2.json",
@@ -179,6 +200,14 @@ def main():
     dump("descent_p1_ok.json", descent_to_json(p1_descent(2, Fraction(1, 2))))
     dump("descent_p1_delta3.json", descent_to_json(p1_descent(2, Fraction(1, 2), delta=3)))
     dump("descent_p1_transport_bad.json", descent_to_json(p1_descent(2, 2)))
+
+    # one chart, whose loop 2 does not transport along u (v = 0 carries it)
+    fan = cxcstar_fan()
+    cone = Cone((1,))
+    chart = Representation(
+        chart_quiver(fan, chart_bases(fan), cone), {(): 1, (1,): 1}, *cxcstar_maps(0, 2, 3)
+    )
+    dump("descent_cxcstar_loop_bad.json", descent_to_json(DescentDatum(fan, {cone: chart}, {})))
 
     quiver = fan_quiver(p2_fan())
     trivial = Representation(quiver, {v: 1 for v in quiver.vertices})

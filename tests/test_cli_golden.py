@@ -37,6 +37,7 @@ REPS = [
     "rep_cn_bad_ii.json",
     "rep_cn_ok.json",
     "rep_csigma_bad_iii.json",
+    "rep_cxcstar_loop_bad.json",
     "rep_loop2.json",
     "rep_loop3.json",
     "rep_p1_bad.json",
@@ -44,6 +45,7 @@ REPS = [
     "rep_shape_mismatch.json",
 ]
 DESCENTS = [
+    "descent_cxcstar_loop_bad.json",
     "descent_p1_delta3.json",
     "descent_p1_ok.json",
     "descent_p1_transport_bad.json",
@@ -91,6 +93,35 @@ def test_cli_outputs_match_golden(monkeypatch):
     assert [r["argv"] for r in actual] == [r["argv"] for r in golden]
     for got, want in zip(actual, golden):
         assert (got["exit"], got["stdout"]) == (want["exit"], want["stdout"]), got["argv"]
+
+
+CONDITIONS = [
+    "i",
+    "ii",
+    "iii",
+    "loop",
+    "conjugation",
+    "cocycle",
+    "transport",
+    "rays",
+    "independence",
+    "face-closure",
+    "smoothness",
+    "non-smooth",
+]
+
+
+def test_every_condition_has_a_golden_row():
+    """Each violation condition the CLI can report is pinned by at least
+    one recorded row, so a change to how it is reported shows here."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    reported = {
+        violation["condition"]
+        for record in golden
+        if record["exit"] == 1
+        for violation in json.loads(record["stdout"])["violations"]
+    }
+    assert [c for c in CONDITIONS if c not in reported] == []
 
 
 if __name__ == "__main__":
