@@ -96,7 +96,7 @@ def main():
     dump(
         "fan_cxcstar_override.json",
         fan_to_json(
-            Fan(2, [(1, 0)], [(), (1,)]),
+            cxcstar_fan(),
             {Cone((1,)): IntMatrix.from_columns([(1, 0), (1, 1)])},
         ),
     )
@@ -201,7 +201,7 @@ def main():
     dump("descent_p1_delta3.json", descent_to_json(p1_descent(2, Fraction(1, 2), delta=3)))
     dump("descent_p1_transport_bad.json", descent_to_json(p1_descent(2, 2)))
 
-    # one chart, whose loop 2 does not transport along u (v = 0 carries it)
+    # one chart, whose loop 2 does not transport along u (v = 0, so it does along v)
     fan = cxcstar_fan()
     cone = Cone((1,))
     chart = Representation(

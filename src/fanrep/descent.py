@@ -38,12 +38,10 @@ from .reps import (
     Representation,
     Violation,
     cdelta_check,
-    check_invertibility,
-    check_loops,
-    check_squares,
-    edge_key,
+    check_quiver,
     overlap_operators,
     reference_operators,
+    relation_violations,
     rep_from_json,
     rep_to_json,
     violation_sort_key,
@@ -209,85 +207,62 @@ def _verdict(d: DescentDatum) -> Tuple[Violation, ...]:
 
 
 def _check_descent(d: DescentDatum) -> List[Violation]:
-    out: List[Violation] = []
     tops = maximal_cones(d.fan)
     # one direction resolver per chart, over the bases holding that chart alone
     resolvers = {
         cone: DirectionResolver(chart, d.fan, {cone: d.bases[cone]})
         for cone, chart in d.charts.items()
     }
-    for cone in tops:
-        resolver = resolvers[cone]
-        for violation in (
-            check_invertibility(resolver) + check_squares(resolver.rep) + check_loops(resolver)
-        ):
-            out.append(
-                Violation(
-                    violation.condition,
-                    (cone_key(cone),) + violation.location,
-                    violation.detail,
-                )
-            )
+    out = [v for cone in tops for v in check_quiver(resolvers[cone], (cone,))]
+    out += relation_violations(itertools.chain(_conjugation_rows(d, tops), _cocycle_rows(d, tops)))
+    # transport through each vertex's reference chart holds for every
+    # pair once the checks above pass; every pair is walked only to report
+    walk = reference_operators(d.fan, d.bases, resolvers)
+    if out or any(relation_violations(_transport_rows(d, walk))):
+        out += relation_violations(_transport_rows(d, overlap_operators(d.bases, resolvers)))
+    return sorted(out, key=violation_sort_key)
 
-    # one pass per chart pair, over chart a's edges inside their overlap
+
+def _conjugation_rows(d: DescentDatum, tops):
+    """One pass per chart pair, over chart a's edges inside their overlap:
+    djp^-1 . u_b . dj == u_a and dj^-1 . v_b . djp == v_a, each multiplied
+    through by its left delta."""
     for a, b in itertools.combinations(tops, 2):
         ca, cb = d.charts[a], d.charts[b]
         overlap = set(a.ray_indices) & set(b.ray_indices)
         for edge in (e for e in ca.quiver.arrow_pairs if overlap.issuperset(e[1])):
             j, jp = edge
             dj, djp = d.delta(a, b, j), d.delta(a, b, jp)
-            # djp^-1 . u_b . dj == u_a and dj^-1 . v_b . djp == v_a,
-            # each multiplied through by its left delta
-            checks = (
-                ("u", mat_mul(cb.u[edge], dj), mat_mul(djp, ca.u[edge])),
-                ("v", mat_mul(cb.v[edge], djp), mat_mul(dj, ca.v[edge])),
+            yield (
+                "conjugation", (a, b, edge, "u"), mat_mul(cb.u[edge], dj), mat_mul(djp, ca.u[edge]),
+                "delta does not conjugate the shared u map",
             )
-            out += [
-                Violation(
-                    "conjugation",
-                    (cone_key(a), cone_key(b), edge_key(edge), arrow),
-                    f"delta does not conjugate the shared {arrow} map",
-                )
-                for arrow, lhs, rhs in checks
-                if lhs != rhs
-            ]
+            yield (
+                "conjugation", (a, b, edge, "v"), mat_mul(cb.v[edge], djp), mat_mul(dj, ca.v[edge]),
+                "delta does not conjugate the shared v map",
+            )
 
-    # the deltas are exact inverse pairs, so the six orders of a triple
-    # hold or fail together: one product per unordered triple, and a
-    # violation for each order
+
+def _cocycle_rows(d: DescentDatum, tops):
+    """The deltas are exact inverse pairs, so the six orders of a triple
+    hold or fail together: one product per unordered triple, and a row
+    for each order."""
     for triple in itertools.combinations(tops, 3):
         a, b, c = triple
         overlap = set(a.ray_indices) & set(b.ray_indices) & set(c.ray_indices)
         for j in subsets(sorted(overlap)):
-            if mat_mul(d.delta(b, c, j), d.delta(a, b, j)) != d.delta(a, c, j):
-                out += [
-                    Violation(
-                        "cocycle",
-                        tuple(map(cone_key, order)) + (vertex_key(j),),
-                        "deltas fail the triple cocycle",
-                    )
-                    for order in itertools.permutations(triple)
-                ]
-
-    # transport through each vertex's reference chart holds for every
-    # pair once the checks above pass; every pair is walked only to report
-    if out or not all(_transports(d, *t) for t in reference_operators(d.fan, d.bases, resolvers)):
-        out += [
-            Violation(
-                "transport",
-                (cone_key(a), cone_key(b), vertex_key(j), p),
-                "conjugated monodromy does not match the exponent product",
-            )
-            for a, b, j, p, op, product in overlap_operators(d.bases, resolvers)
-            if not _transports(d, a, b, j, p, op, product)
-        ]
-    return sorted(out, key=violation_sort_key)
+            product, delta = mat_mul(d.delta(b, c, j), d.delta(a, b, j)), d.delta(a, c, j)
+            for order in itertools.permutations(triple):
+                yield "cocycle", order + (j,), product, delta, "deltas fail the triple cocycle"
 
 
-def _transports(d: DescentDatum, a: Cone, b: Cone, j: Vertex, p: int, op, product) -> bool:
-    """dj^-1 . op . dj == product, multiplied through by dj = delta(a, b, j)."""
-    dj = d.delta(a, b, j)
-    return mat_mul(op, dj) == mat_mul(dj, product)
+def _transport_rows(d: DescentDatum, operators):
+    """Transport over tuples of overlap_operators' shape: dj^-1 . op . dj ==
+    product, multiplied through by dj = delta(a, b, j)."""
+    detail = "conjugated monodromy does not match the exponent product"
+    for a, b, j, p, op, product in operators:
+        dj = d.delta(a, b, j)
+        yield "transport", (a, b, j, p), mat_mul(op, dj), mat_mul(dj, product), detail
 
 
 def glue(d: DescentDatum) -> Representation:

@@ -4,7 +4,9 @@ A representation assigns a dimension to each vertex, a u/v matrix pair to
 each edge, and an invertible square matrix to each loop.  The validators
 check the defining conditions of the three categories (normal crossing,
 generic arrangement, fan) and report violations exhaustively instead of
-failing fast, so tests can assert exact violation sets.
+failing fast, so tests can assert exact violation sets.  Each equality
+is stated as relation rows (condition, location, lhs, rhs, detail), and
+one comparator, relation_violations, reports the failing rows.
 """
 
 from __future__ import annotations
@@ -185,58 +187,68 @@ def monodromy(rep: Representation, edge, end: str = "low") -> RatMatrix:
     raise ValueError("end must be 'low' or 'high'")
 
 
-def check_invertibility(resolver: DirectionResolver) -> List[Violation]:
-    """Condition (i): each arrow monodromy v.u + Id, read from the
-    resolver so later lookups reuse it, is invertible."""
+def _location(parts) -> tuple:
+    """A location as a violation shows it: each cone by cone_key, edge by
+    edge_key and vertex by vertex_key, each label or name as it is."""
     out = []
-    for edge in resolver.rep.quiver.arrow_pairs:
+    for part in parts:
+        if isinstance(part, Cone):
+            part = cone_key(part)
+        elif isinstance(part, tuple):
+            part = edge_key(part) if part and isinstance(part[0], tuple) else vertex_key(part)
+        out.append(part)
+    return tuple(out)
+
+
+def relation_violations(rows, prefix=()):
+    """The comparator of every relation check: lazily, the Violation of
+    each failing row.  A row (condition, location, lhs, rhs, detail)
+    states lhs == rhs.  Only a failing row's location is formatted, after
+    prefix (the chart's cone, for a descent chart check); a detail of None
+    reads as the difference lhs - rhs."""
+    for condition, location, lhs, rhs, detail in rows:
+        if lhs != rhs:
+            detail = detail or f"difference {lhs.sub(rhs)!r}"
+            yield Violation(condition, _location(prefix + location), detail)
+
+
+def check_quiver(resolver: DirectionResolver, prefix=()) -> List[Violation]:
+    """Conditions (i), (ii) and the loop checks on resolver's
+    representation, each location after prefix.  Only two are not
+    equalities and are checked here: (i), each arrow monodromy v.u + Id
+    (read from the resolver, so later lookups reuse it) is invertible,
+    and so is each loop map.  The others are relation rows."""
+    rep = resolver.rep
+    out = []
+    for edge in rep.quiver.arrow_pairs:
         low, high = edge
         (label,) = set(high).difference(low)
         if not resolver.operator(low, label).is_invertible():
-            out.append(
-                Violation(
-                    "i",
-                    (edge_key(edge),),
-                    f"v.u + Id is singular on {vertex_key(edge[0]) or 'ø'}",
-                )
-            )
+            detail = f"v.u + Id is singular on {vertex_key(low) or 'ø'}"
+            out.append(Violation("i", _location(prefix + (edge,)), detail))
+    for key, mat in rep.loop_maps.items():
+        if not mat.is_invertible():
+            out.append(Violation("loop", _location(prefix + key), "loop map is singular"))
+    out += relation_violations(itertools.chain(_square_rows(rep), _loop_rows(resolver)), prefix)
     return out
 
 
-def _diff_detail(lhs: RatMatrix, rhs: RatMatrix) -> str:
-    return f"difference {lhs.sub(rhs)!r}"
-
-
-def check_squares(rep: Representation) -> List[Violation]:
-    """The four path identities on each square face (K; p, q)."""
-    out = []
-    q = rep.quiver
+def _square_rows(rep: Representation):
+    """Rows of (ii): the four path identities on each square face (K; p, q)."""
     u, v = rep.u, rep.v
-    for base, p, qq in q.squares():
+    for base, p, q in rep.quiver.squares():
         kp = tuple(sorted(base + (p,)))
-        kq = tuple(sorted(base + (qq,)))
-        kpq = tuple(sorted(base + (p, qq)))
-        e_p = (base, kp)
-        e_q = (base, kq)
-        e_pq = (kp, kpq)
-        e_qp = (kq, kpq)
-        loc = (vertex_key(base), p, qq)
-        checks = (
-            ("u-path", mat_mul(u[e_pq], u[e_p]), mat_mul(u[e_qp], u[e_q])),
-            ("v-path", mat_mul(v[e_p], v[e_pq]), mat_mul(v[e_q], v[e_qp])),
-            ("mixed-pq", mat_mul(v[e_pq], u[e_qp]), mat_mul(u[e_p], v[e_q])),
-            ("mixed-qp", mat_mul(v[e_qp], u[e_pq]), mat_mul(u[e_q], v[e_p])),
-        )
-        out += [
-            Violation("ii", loc + (path,), _diff_detail(lhs, rhs))
-            for path, lhs, rhs in checks
-            if lhs != rhs
-        ]
-    return out
+        kq = tuple(sorted(base + (q,)))
+        kpq = tuple(sorted(base + (p, q)))
+        e_p, e_q, e_pq, e_qp = (base, kp), (base, kq), (kp, kpq), (kq, kpq)
+        yield "ii", (base, p, q, "u-path"), mat_mul(u[e_pq], u[e_p]), mat_mul(u[e_qp], u[e_q]), None
+        yield "ii", (base, p, q, "v-path"), mat_mul(v[e_p], v[e_pq]), mat_mul(v[e_q], v[e_qp]), None
+        yield "ii", (base, p, q, "mixed-pq"), mat_mul(v[e_pq], u[e_qp]), mat_mul(u[e_p], v[e_q]), None
+        yield "ii", (base, p, q, "mixed-qp"), mat_mul(v[e_qp], u[e_pq]), mat_mul(u[e_q], v[e_p]), None
 
 
-def check_loops(resolver: DirectionResolver) -> List[Violation]:
-    """Loops are commuting automorphisms at each vertex, and they
+def _loop_rows(resolver: DirectionResolver):
+    """Rows of the loop checks.  Loops commute at each vertex, and they
     transport: along every edge, for each chart of the resolver's bases
     that contains the upper vertex, each completion direction's operators
     at the two ends must intertwine with the edge's u and v maps.  On a
@@ -245,25 +257,11 @@ def check_loops(resolver: DirectionResolver) -> List[Violation]:
     monodromy or a derived expansion."""
     rep = resolver.rep
     q = rep.quiver
-    out = []
     for vtx in q.vertices:
-        labels = q.loops[vtx]
-        for label in labels:
-            if not rep.loop_maps[(vtx, label)].is_invertible():
-                out.append(
-                    Violation("loop", (vertex_key(vtx), label), "loop map is singular")
-                )
-        for l1, l2 in itertools.combinations(labels, 2):
-            a = rep.loop_maps[(vtx, l1)]
-            b = rep.loop_maps[(vtx, l2)]
-            if mat_mul(a, b) != mat_mul(b, a):
-                out.append(
-                    Violation(
-                        "loop",
-                        (vertex_key(vtx), l1, l2),
-                        "loop maps do not commute",
-                    )
-                )
+        for l1, l2 in itertools.combinations(q.loops[vtx], 2):
+            a, b = rep.loop_maps[(vtx, l1)], rep.loop_maps[(vtx, l2)]
+            yield "loop", (vtx, l1, l2), mat_mul(a, b), mat_mul(b, a), "loop maps do not commute"
+    detail = "monodromy direction does not transport along "
     tops = sorted(resolver.bases, key=lambda c: c.ray_indices)
     for edge in q.arrow_pairs:
         low, high = edge
@@ -277,20 +275,8 @@ def check_loops(resolver: DirectionResolver) -> List[Violation]:
                     op_high = resolver.operator(high, label)
                 except NotInvertibleError:
                     continue  # already reported by condition (i) or the loop checks
-                checks = (
-                    ("u", mat_mul(u, op_low), mat_mul(op_high, u)),
-                    ("v", mat_mul(op_low, v), mat_mul(v, op_high)),
-                )
-                out += [
-                    Violation(
-                        "loop",
-                        (edge_key(edge), label, arrow),
-                        f"monodromy direction does not transport along {arrow}",
-                    )
-                    for arrow, lhs, rhs in checks
-                    if lhs != rhs
-                ]
-    return out
+                yield "loop", (edge, label, "u"), mat_mul(u, op_low), mat_mul(op_high, u), detail + "u"
+                yield "loop", (edge, label, "v"), mat_mul(op_low, v), mat_mul(v, op_high), detail + "v"
 
 
 def validate_Cn(rep: Representation) -> List[Violation]:
@@ -300,8 +286,7 @@ def validate_Cn(rep: Representation) -> List[Violation]:
     n = len(ground)
     if rep.quiver != hypercube_quiver(n):
         raise ValueError("representation is not over a hypercube quiver")
-    resolver = DirectionResolver(rep, None, {})
-    return sorted(check_invertibility(resolver) + check_squares(rep), key=violation_sort_key)
+    return sorted(check_quiver(DirectionResolver(rep, None, {})), key=violation_sort_key)
 
 
 def validate_CSigma(rep: Representation) -> List[Violation]:
@@ -312,13 +297,12 @@ def validate_CSigma(rep: Representation) -> List[Violation]:
     if rep.quiver != arrangement_quiver(n):
         raise ValueError("representation is not over an arrangement quiver")
     resolver = DirectionResolver(rep, None, {})
-    out = check_invertibility(resolver) + check_squares(rep)
+    out = check_quiver(resolver)
     monos = {i: resolver.operator((), i) for i in range(1, n + 1)}
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        if mat_mul(monos[i], monos[j]) != mat_mul(monos[j], monos[i]):
-            out.append(
-                Violation("iii", (i, j), f"monodromies {i} and {j} do not commute")
-            )
+    out += relation_violations(
+        ("iii", (i, j), mat_mul(a, b), mat_mul(b, a), f"monodromies {i} and {j} do not commute")
+        for (i, a), (j, b) in itertools.combinations(monos.items(), 2)
+    )
     return sorted(out, key=violation_sort_key)
 
 
@@ -504,23 +488,22 @@ def cdelta_check(rep: Representation, fan: Fan, bases) -> CDeltaCheck:
 
 
 def _check_CDelta(resolver: DirectionResolver) -> List[Violation]:
-    rep, bases = resolver.rep, resolver.bases
-    out = check_invertibility(resolver) + check_squares(rep) + check_loops(resolver)
+    fan, bases = resolver.fan, resolver.bases
+    out = check_quiver(resolver)
     resolvers = dict.fromkeys(bases, resolver)
-    # one pair per ray of J's star outside R_J: other labels read at J as
-    # the product itself, and a ray shared by charts repeats its pair
-    rays = {
-        (j, p): (lhs, rhs)
-        for _, _, j, p, lhs, rhs in reference_operators(resolver.fan, bases, resolvers)
-        if p <= len(resolver.fan.rays)
-    }
-    if out or any(lhs != rhs for lhs, rhs in rays.values()):
-        out += [
-            Violation("iii", (cone_key(k), cone_key(kp), vertex_key(j), p), _diff_detail(lhs, rhs))
-            for k, kp, j, p, lhs, rhs in overlap_operators(bases, resolvers)
-            if lhs != rhs
-        ]
+    # one pair per ray of J's star outside R_J, keyed by (J, p) of the tuple
+    # t = (K, K', J, p, op, product): other labels read at J as the
+    # product itself, and a ray shared by charts repeats its pair
+    rays = {t[2:4]: t for t in reference_operators(fan, bases, resolvers) if t[3] <= len(fan.rays)}
+    if out or any(relation_violations(_iii_rows(rays.values()))):
+        out += relation_violations(_iii_rows(overlap_operators(bases, resolvers)))
     return sorted(out, key=violation_sort_key)
+
+
+def _iii_rows(operators):
+    """Rows of (iii) over tuples of overlap_operators' shape."""
+    for k, kp, j, p, op, product in operators:
+        yield "iii", (k, kp, j, p), op, product, None
 
 
 @dataclass

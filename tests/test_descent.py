@@ -694,15 +694,16 @@ class TestReadOnlyAndVerdict:
         assert info.value.violations == want
 
     def test_pipeline_checks_squares_once_per_object(self, monkeypatch):
+        """The square rows are built once per chart, then once on the
+        glued object, whose check section reuses."""
         checked = []
 
         def counting(rep):
             checked.append(rep)
             return real(rep)
 
-        real = reps.check_squares
-        monkeypatch.setattr(reps, "check_squares", counting)
-        monkeypatch.setattr(descent, "check_squares", counting)
+        real = reps._square_rows
+        monkeypatch.setattr(reps, "_square_rows", counting)
         d = p2_ok_datum()
         assert validate_descent(d) == []
         glued = glue(d)
@@ -1105,45 +1106,52 @@ class TestReferenceWalk:
 
     def counting(self, monkeypatch):
         """Lists of the full walks started, the reference walk's tuples,
-        the transport comparisons and the operator pairs compared by !=."""
-        full, walked, transports, compared = [], [], [], []
-        real_full, real_walk = reps.overlap_operators, reps.reference_operators
-        real_transports, real_ne = descent._transports, RatMatrix.__ne__
+        the transport and (iii) rows built, and the operator pairs
+        compared by !=.  The comparator compares every row it is given."""
+        full, walked, transports, iii, compared = [], [], [], [], []
+        real_full, real_ne = reps.overlap_operators, RatMatrix.__ne__
 
         def full_walk(*args):
             full.append(args)
             return real_full(*args)
 
-        def reference_walk(*args):
-            for row in real_walk(*args):
-                walked.append(row)
-                yield row
+        def recording(real, rows):
+            def generator(*args):
+                for row in real(*args):
+                    rows.append(row)
+                    yield row
 
+            return generator
+
+        reference_walk = recording(reps.reference_operators, walked)
         for module in (reps, descent):
             monkeypatch.setattr(module, "overlap_operators", full_walk)
             monkeypatch.setattr(module, "reference_operators", reference_walk)
-        monkeypatch.setattr(descent, "_transports", lambda *a: transports.append(a) or real_transports(*a))
+        monkeypatch.setattr(descent, "_transport_rows", recording(descent._transport_rows, transports))
+        monkeypatch.setattr(reps, "_iii_rows", recording(reps._iii_rows, iii))
         monkeypatch.setattr(RatMatrix, "__ne__", lambda a, b: compared.append((a, b)) or real_ne(a, b))
-        return full, walked, transports, compared
+        return full, walked, transports, iii, compared
 
     def test_a_valid_datum_takes_only_the_reference_walk(self, monkeypatch):
         d = twisted_datum(product_fan(3, 1), 2, random.Random(7).choice)
-        full, walked, transports, compared = self.counting(monkeypatch)
+        full, walked, transports, iii, compared = self.counting(monkeypatch)
         assert validate_descent(d) == []
-        assert (len(full), len(walked), len(transports)) == (0, 85, 85)
+        assert (len(full), len(walked), len(transports), len(iii)) == (0, 85, 85, 0)
         glued = glue(d)
         walked.clear()
         compared.clear()
         assert validate_CDelta(glued, d.fan, d.bases) == []
         ops = {(id(row[4]), id(row[5])) for row in walked}
         assert sum((id(a), id(b)) in ops for a, b in compared) == 27
-        assert {(j, p) for _, _, j, p, _, _ in walked if p <= len(d.fan.rays)} == {
+        rays = {
             (j, r)
             for j in glued.quiver.vertices
             for r in range(1, len(d.fan.rays) + 1)
             if glued.quiver.has_edge(j, tuple(sorted(j + (r,))))
             and r not in loop_reference(d.fan, Cone(j)).ray_indices
         }
+        assert {(j, p) for _, _, j, p, _, _ in walked if p <= len(d.fan.rays)} == rays
+        assert len(iii) == 27 and {row[1][2:] for row in iii} == rays
         assert full == []
 
     def test_a_planted_fault_runs_the_full_walk(self, monkeypatch):
@@ -1153,7 +1161,7 @@ class TestReferenceWalk:
         chi = character(p, [[Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2)]] * 2)
         other = character(p, [[Fraction(3), Fraction(2), Fraction(-2), Fraction(1, 2)]] * 2)
         rep, bases = character_rep(d.fan, 2, random.Random(7).choice, chi, (2, other))
-        full, _, _, _ = self.counting(monkeypatch)
+        full, *_ = self.counting(monkeypatch)
         got = validate_descent(bad)
         assert len(full) == 1
         assert got and violation_rows(got) == violation_rows(ref.transport_violations(bad))

@@ -2,8 +2,9 @@
 
 Private helpers stay inside their module, every imported name is used,
 and the exponent product of a lattice direction (the only consumer of
-``stratum_loop_exponents``) and the arrow monodromy operator each have
-exactly one implementation.  Every function, class and method has a
+``stratum_loop_exponents``), the arrow monodromy operator and the
+comparison of a relation's two sides each have exactly one
+implementation.  Every function, class and method has a
 reader in the package, the scripts, the benchmark or the README, so no
 code is kept alive by its tests alone, and each module's ``__all__``
 agrees with what it defines and with what ``fanrep`` re-exports.
@@ -41,6 +42,12 @@ def test_no_private_name_crosses_a_module_boundary():
 
 def functions_calling(tree, callee: str) -> list:
     """Qualified names of the innermost functions that call ``callee``."""
+    return sorted(set(call_sites(tree, callee)))
+
+
+def call_sites(tree, callee: str) -> list:
+    """The qualified name of the innermost function around each call of
+    ``callee``, once per call, in source order."""
     found = []
 
     def visit(node, scope):
@@ -55,7 +62,7 @@ def functions_calling(tree, callee: str) -> list:
             visit(child, scope)
 
     visit(tree, [])
-    return sorted(set(found))
+    return found
 
 
 def test_stratum_loop_exponents_has_one_caller():
@@ -74,6 +81,17 @@ def test_monodromy_is_built_only_by_the_direction_resolver():
         for func in functions_calling(tree, "monodromy")
     ]
     assert callers == ["reps.DirectionResolver._operator"]
+
+
+def test_violations_are_built_only_by_the_comparator_and_the_singularity_checks():
+    """Every equality check yields relation rows, and one comparator turns
+    the failing rows into violations.  Condition (i) and the loop maps'
+    invertibility are not equalities, so the per-quiver check builds their
+    violations itself: one call site each."""
+    sites = [
+        f"{name}.{func}" for name, tree in modules().items() for func in call_sites(tree, "Violation")
+    ]
+    assert sorted(sites) == ["reps.check_quiver", "reps.check_quiver", "reps.relation_violations"]
 
 
 def test_every_imported_name_is_used():
