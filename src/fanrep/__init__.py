@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .charts import (
     CocycleError,
-    IllPosedError,
     check_cocycle,
     gluing_map,
     stratum_loop_exponents,

@@ -11,19 +11,18 @@ source coordinates x to y_i = prod_j x_j ** A[i][j].
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import mul
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Tuple
 
 from .exactnum import IntMatrix, unimodular_inverse
 from .geometry import ChartBasis, Cone, Fan, maximal_cones
 
 __all__ = [
     "CocycleError",
-    "IllPosedError",
     "gluing_map",
     "check_cocycle",
     "stratum_loop_exponents",
-    "basis_coordinates",
 ]
 
 
@@ -33,19 +32,6 @@ class CocycleError(ValueError):
     def __init__(self, triple, detail: str):
         self.triple = triple
         super().__init__(detail)
-
-
-class IllPosedError(ValueError):
-    """A loop-exponent request names a vertex the chart cannot see."""
-
-
-def basis_coordinates(basis: ChartBasis, vector: Sequence[int]) -> Dict[int, int]:
-    """Exact coordinates of an integer vector in a chart basis, by label."""
-    vector = list(vector)
-    inv = unimodular_inverse(basis.basis)
-    if len(vector) != inv.cols:
-        raise ValueError(f"vector {vector} is not {inv.cols}-dimensional")
-    return {label: sum(map(mul, inv.row(i), vector)) for i, label in enumerate(basis.labels)}
 
 
 def gluing_map(basis_k: ChartBasis, basis_kp: ChartBasis) -> IntMatrix:
@@ -99,23 +85,15 @@ def check_cocycle(fan: Fan, bases: Dict[Cone, ChartBasis]) -> Dict[tuple, IntMat
     return glue
 
 
-def stratum_loop_exponents(
-    basis_k: ChartBasis, vertex: Iterable[int], vector: Sequence[int]
-) -> Dict[int, int]:
-    """Exponents expressing a monodromy direction at a stratum vertex.
-
-    ``vector`` is the lattice vector of some basis direction p of another
-    chart; the result maps each chart-K label outside the vertex to the
-    coordinate of ``vector`` on it.  Coordinates on labels inside the
-    vertex are discarded: the corresponding coordinates vanish on the
-    stratum, so the transported loop is insensitive to them.  Raises
-    IllPosedError when the vertex is not a face of chart K's cone, since
-    then the chart has no monodromy operators at that vertex at all.
+@lru_cache(maxsize=1024)
+def stratum_loop_exponents(basis: ChartBasis, vector: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    """Exact coordinates of an integer vector in a chart basis, as
+    (label, coordinate) pairs in label order: the exponents of the chart's
+    basis directions in the direction of ``vector``.  They do not depend
+    on the stratum; which factors survive at a vertex is the resolver's
+    rule.  Results are cached on (basis, vector); both are immutable.
     """
-    vertex = frozenset(int(i) for i in vertex)
-    if not vertex <= set(basis_k.cone.ray_indices):
-        raise IllPosedError(
-            f"vertex {sorted(vertex)} is not a face of chart {basis_k.cone.ray_indices}"
-        )
-    coords = basis_coordinates(basis_k, vector)
-    return {label: c for label, c in coords.items() if label not in vertex}
+    inv = unimodular_inverse(basis.basis)
+    if len(vector) != inv.cols:
+        raise ValueError(f"vector {list(vector)} is not {inv.cols}-dimensional")
+    return tuple(sorted((label, sum(map(mul, inv.row(i), vector))) for i, label in enumerate(basis.labels)))

@@ -61,7 +61,7 @@ class NotCompletableError(ValueError):
     """Raised when integer vectors do not extend to a basis of Z^n."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def _parse_ratio(text: str) -> tuple:

@@ -320,22 +320,20 @@ class DirectionResolver:
     representation every label of the chart's basis resolves as an arrow
     or a loop.  C_n and C_Sigma build a chart-less resolver and ask it for
     arrows only, never reaching the expansion.  Each operator is built once
-    per resolver, each integer power once per (operator, exponent), so
-    labels that resolve to one matrix share its powers, and each expansion
-    once per (vertex, chart, vector).
+    per resolver, into operators (a new cache by default), each integer
+    power once per (operator, exponent), so labels that resolve to one
+    matrix share its powers, and each expansion once per (vertex, chart,
+    vector), from coordinates charts computes once per (basis, vector).
     """
 
-    def __init__(self, rep: Representation, fan: Fan, bases):
-        self._attach(rep, fan, bases, {})
-
-    def _attach(self, rep: Representation, fan: Fan, bases, operators: dict):
+    def __init__(self, rep: Representation, fan: Fan, bases, operators: Optional[dict] = None):
         self.rep = rep
         self.fan = fan
         self.bases = bases
         self.vectors = {
             label: basis.column(label) for basis in bases.values() for label in basis.labels
         }
-        self._operators = operators
+        self._operators = {} if operators is None else operators
         self._powers = {}
         self._expansions = {}
 
@@ -366,8 +364,9 @@ class DirectionResolver:
     def expansion(self, vertex: Vertex, chart: Cone, vector) -> RatMatrix:
         """Operator at vertex of the lattice direction vector: the product,
         in label order, of the operators of the directions of chart's basis
-        raised to vector's exponents in that basis (labels inside the
-        vertex are dropped).  The product starts from its first nonzero
+        raised to vector's coordinates in that basis.  The stratum rule:
+        labels inside the vertex are skipped, since their coordinates
+        vanish on the stratum.  The product starts from its first nonzero
         factor; only an empty product is the identity.  Built once per
         (vertex, chart, vector)."""
         key = (vertex, chart, tuple(vector))
@@ -378,8 +377,8 @@ class DirectionResolver:
 
     def _expansion(self, vertex: Vertex, basis: ChartBasis, vector: tuple) -> RatMatrix:
         result = None
-        for label, k in sorted(stratum_loop_exponents(basis, vertex, vector).items()):
-            if k:
+        for label, k in stratum_loop_exponents(basis, vector):
+            if k and label not in vertex:
                 factor = self.power(vertex, label, k)
                 result = factor if result is None else mat_mul(result, factor)
         return RatMatrix.identity(self.rep.dims[vertex]) if result is None else result
@@ -390,9 +389,9 @@ def overlap_operators(bases: Dict[Cone, ChartBasis], resolvers):
     ordered pair of distinct maximal cones (K, K'), vertex J of their
     overlap and chart-K' direction p outside it: op is p's operator at J
     from resolvers[K'], product the chart-K exponent product of p's vector
-    at J from resolvers[K] (coordinates on J die on the stratum).  A
-    direction with a singular side is skipped: condition (i) or the loop
-    checks report it."""
+    at J from resolvers[K] (its expansion skips the labels on J, whose
+    coordinates die on the stratum).  A direction with a singular side is
+    skipped: condition (i) or the loop checks report it."""
     tops = sorted(bases, key=lambda c: c.ray_indices)
     for k, kp in itertools.permutations(tops, 2):
         overlap = tuple(sorted(set(k.ray_indices) & set(kp.ray_indices)))
@@ -463,11 +462,8 @@ class CDeltaCheck(NamedTuple):
 
     def resolver(self, rep: Representation) -> DirectionResolver:
         """The resolver of rep over this check's fan, bases and operators,
-        so it builds no operator the check built; it skips
-        DirectionResolver.__init__, which starts an empty operator cache."""
-        resolver = object.__new__(DirectionResolver)
-        resolver._attach(rep, self.fan, self.bases, self.operators)
-        return resolver
+        so it builds no operator the check built."""
+        return DirectionResolver(rep, self.fan, self.bases, self.operators)
 
 
 def cdelta_check(rep: Representation, fan: Fan, bases) -> CDeltaCheck:

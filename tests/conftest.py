@@ -6,10 +6,15 @@ import pytest
 # allow running the suite from a fresh checkout without installing
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from fanrep import geometry, quivers  # noqa: E402
+from fanrep import charts, geometry, quivers  # noqa: E402
 
 # the builders' memos, shared by every caller in a process
-CACHES = (quivers._cube_quiver_cached, quivers._fan_quiver_cached, geometry._loop_references)
+CACHES = (
+    quivers._cube_quiver_cached,
+    quivers._fan_quiver_cached,
+    geometry._loop_references,
+    charts.stratum_loop_exponents,
+)
 
 
 def clear_caches():

@@ -23,6 +23,8 @@ product per unordered triple.
 a lattice direction on a chart representation that ``fanrep.reps`` had
 before ``DirectionResolver`` became the only builder of direction
 operators; ``DirectionResolver.expansion`` must equal their product.
+The product reads its exponents from ``basis_coordinates`` and drops the
+vertex's labels itself, so it shares no code with the resolver's.
 
 ``glue`` is the gluing functor ``fanrep.descent`` had while the
 lexicographically first maximal cone containing a vertex owned it, and
@@ -69,7 +71,7 @@ from typing import Dict, List
 
 from hypothesis import strategies as st
 
-from fanrep.charts import CocycleError, gluing_map, stratum_loop_exponents
+from fanrep.charts import CocycleError, gluing_map
 from fanrep.descent import DescentError, validate_descent
 from fanrep.exactnum import IntMatrix, NotInvertibleError, RatMatrix
 from fanrep.geometry import ChartBasis, Cone, Fan, FanError, cone_key, maximal_cones
@@ -329,9 +331,9 @@ def exponent_product(
     The product starts from its first nonzero factor; only an empty
     product is the identity."""
     result = None
-    alpha = stratum_loop_exponents(basis, vertex, vector)
+    alpha = basis_coordinates(basis, vector)
     for label in sorted(alpha):
-        if alpha[label]:
+        if alpha[label] and label not in vertex:
             factor = operator(rep, basis, vertex, label).power(alpha[label])
             result = factor if result is None else mat_mul(result, factor)
     return RatMatrix.identity(rep.dims[vertex]) if result is None else result

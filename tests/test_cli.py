@@ -209,6 +209,16 @@ def test_key_index_must_be_ascii_digits(tmp_path, capsys, name, section, key, ba
     assert f"key {bad!r}" in payload["detail"]
 
 
+def test_rational_string_must_be_ascii_digits(tmp_path, capsys):
+    data = json.loads((FIXTURES / "rep_cn_ok.json").read_text())
+    data["u"]["-1"] = [["\u0661"]]
+    target = tmp_path / "rep.json"
+    target.write_text(json.dumps(data))
+    code, payload = invoke(capsys, "rep", "validate", str(target), "--category", "cn")
+    assert (code, payload["error"]) == (2, "parse")
+    assert "not a rational string: '\u0661'" in payload["detail"]
+
+
 UNKNOWN_KEYS = [
     # (fixture, path to the object, key, key written otherwise, command, JSON path in the error)
     ("rep_loop2.json", (), "loops", "loop", ("rep", "hom"), '$["loop"]'),

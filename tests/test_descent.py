@@ -1001,7 +1001,9 @@ def test_glue_owns_each_vertex_by_its_reference_chart(d):
 
 class TestNoResolverBuiltTwice:
     """glue reads the loops of each vertex's reference chart, and section
-    reads its chart loops from the resolver validate_CDelta kept."""
+    reads its chart loops through a resolver over the operators
+    validate_CDelta kept.  A resolver is counted as built when it starts
+    a new operator cache."""
 
     def test_glue_and_section_build_no_resolver(self, monkeypatch):
         d = twisted_datum(product_fan(3, 1), 2, random.Random(7).choice)
@@ -1009,9 +1011,10 @@ class TestNoResolverBuiltTwice:
         built, powers = [], []
         real_init, real_power = DirectionResolver.__init__, RatMatrix.power
 
-        def init(self, rep, fan, bases):
-            built.append(rep)
-            real_init(self, rep, fan, bases)
+        def init(self, rep, fan, bases, operators=None):
+            if operators is None:
+                built.append(rep)
+            real_init(self, rep, fan, bases, operators)
 
         def power(self, k):
             powers.append(k)
@@ -1059,10 +1062,12 @@ class TestNoResolverBuiltTwice:
 class TestEachBuildOnce:
     """The benchmark's job on (P^1)^3 x C* at dimension 2 (validate, glue,
     validate_CDelta, section) builds each direction expansion once per
-    resolver and the fan quiver once; a repeat of the job builds no
-    quiver.  Without the memos the job makes 773 stratum_loop_exponents
-    calls over 152 distinct (chart, vertex, vector) inputs, and builds
-    the fan quiver twice."""
+    resolver, the chart coordinates of each of its 19 distinct (basis,
+    vector) inputs once, and the fan quiver once; a repeat of the job
+    builds no quiver and computes no coordinates.  Without the memos the
+    job makes 773 coordinate computations, and with per-resolver
+    expansion memos alone 92 on every run, and builds the fan quiver
+    twice."""
 
     def job(self, d):
         d = DescentDatum(d.fan, d.charts, d.stored_deltas(), bases=d.bases)
@@ -1074,26 +1079,22 @@ class TestEachBuildOnce:
     def test_each_expansion_and_the_fan_quiver_once(self, monkeypatch, fresh_caches):
         d = twisted_datum(product_fan(3, 1), 2, random.Random(7).choice)
         fresh_caches()
-        exponents, built = [], []
-        real_exponents, real_init = reps.stratum_loop_exponents, Quiver.__init__
-
-        def counting(*args):
-            exponents.append(args)
-            return real_exponents(*args)
+        built, real_init = [], Quiver.__init__
+        coordinates = reps.stratum_loop_exponents.cache_info
 
         def init(self, *args, **kwargs):
             built.append(args)
             real_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(reps, "stratum_loop_exponents", counting)
         monkeypatch.setattr(Quiver, "__init__", init)
         self.job(d)
-        assert 0 < len(exponents) <= 304
+        first = coordinates()
+        assert 0 < first.misses <= 19
         assert quivers._fan_quiver_cached.cache_info().misses <= 1
-        exponents.clear()
         built.clear()
         self.job(d)
-        assert 0 < len(exponents) <= 304
+        again = coordinates()
+        assert again.misses == first.misses and again.hits > first.hits
         assert built == []
 
 
@@ -1263,6 +1264,42 @@ def test_resolver_expansion_matches_the_reference(case):
     for _ in range(2):
         got = [outcome(lambda: resolver.expansion(vertex, basis.cone, vector)) for vector in vectors]
         assert got == want
+
+
+class TestStratumRule:
+    """DirectionResolver.expansion skips the labels inside the vertex: their
+    coordinates vanish on the stratum.  Every operator below is a distinct
+    scalar, so a kept, dropped or inverted factor changes the product."""
+
+    @staticmethod
+    def chart_rep(fan, cone, arrows, loops):
+        """The chart representation of cone, of dimension 1, with arrow
+        monodromy arrows[ray] on each arrow adding ray and the loop map
+        loops[label] at every vertex."""
+        bases = chart_bases(fan)
+        quiver = chart_quiver(fan, bases, cone)
+        one = {edge: scalar(1) for edge in quiver.arrow_pairs}
+        v = {
+            (low, high): scalar(arrows[(set(high) - set(low)).pop()] - 1) for low, high in quiver.arrow_pairs
+        }
+        loop_maps = {
+            (vtx, label): scalar(loops[label]) for vtx in quiver.vertices for label in quiver.loops[vtx]
+        }
+        rep = Representation(quiver, {vtx: 1 for vtx in quiver.vertices}, one, v, loop_maps)
+        return DirectionResolver(rep, fan, {cone: bases[cone]})
+
+    def test_p2_relation_at_ray_vertex_drops_vertex_coordinate(self):
+        # v3 = -e1 - e2 has a nonzero coordinate on 1, which the stratum kills
+        fan, cone = p2_fan(), Cone((1, 2))
+        resolver = self.chart_rep(fan, cone, {1: 2, 2: 3}, {})
+        assert resolver.expansion((), cone, fan.ray_vector(3)) == scalar(Fraction(1, 6))
+        assert resolver.expansion((1,), cone, fan.ray_vector(3)) == scalar(Fraction(1, 3))
+
+    def test_completion_direction_at_ray_vertex_is_a_loop_power(self):
+        fan, cone = Fan(2, [(1, 0)], [(), (1,)]), Cone((1,))
+        resolver = self.chart_rep(fan, cone, {1: 5}, {2: 3})
+        assert resolver.expansion((), cone, (-1, 2)) == scalar(Fraction(9, 5))
+        assert resolver.expansion((1,), cone, (-1, 2)) == scalar(9)
 
 
 def perturb(rep, pick, count):

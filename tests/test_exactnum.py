@@ -42,6 +42,13 @@ class TestRationalStrings:
         with pytest.raises(TypeError):
             RatMatrix(1, 1, [0.5])
 
+    @pytest.mark.parametrize("text", ["\u0661", "\uff13", "1/1\u0660", "1.5", "1e3", "1/0", "1/-2", ""])
+    def test_other_strings_rejected(self, text):
+        # Unicode decimal digits are not digits of a rational string
+        with pytest.raises(ValueError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"not a rational string: {text!r}"
+
 
 class TestIntMatrix:
     def test_non_integers_rejected(self):

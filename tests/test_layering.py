@@ -8,9 +8,11 @@ implementation.  Every function, class and method has a
 reader in the package, the scripts, the benchmark or the README, so no
 code is kept alive by its tests alone, and each module's ``__all__``
 agrees with what it defines and with what ``fanrep`` re-exports.
+Every target the benchmark's tracer wraps still exists.
 """
 
 import ast
+import importlib.util
 import pathlib
 import re
 
@@ -226,3 +228,25 @@ def test_all_lists_only_defined_names_and_covers_the_package_exports():
         if alias.name not in exported(trees[node.module])
     ]
     assert unlisted == []
+
+
+def test_every_traced_target_resolves():
+    """Each TARGETS entry of ``perfbench/tracing.py`` names an attribute of
+    its ``fanrep`` module, and a dotted name a class attribute, so that a
+    renamed or deleted target fails here and not only in a traced
+    benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr, _ in tracing.TARGETS:
+        module = importlib.import_module(f"fanrep.{module_name}")
+        cls_name, _, method = attr.rpartition(".")
+        if cls_name:
+            cls = getattr(module, cls_name, None)
+            found = isinstance(cls, type) and method in vars(cls)
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
