@@ -1064,10 +1064,10 @@ class TestEachBuildOnce:
     validate_CDelta, section) builds each direction expansion once per
     resolver, the chart coordinates of each of its 19 distinct (basis,
     vector) inputs once, and the fan quiver once; a repeat of the job
-    builds no quiver and computes no coordinates.  Without the memos the
-    job makes 773 coordinate computations, and with per-resolver
-    expansion memos alone 92 on every run, and builds the fan quiver
-    twice."""
+    builds no quiver and computes no coordinates.  Each run builds 92
+    expansions, 207 without the per-resolver expansion memos; without the
+    coordinate cache every run computes coordinates 92 times; without the
+    quiver cache the job builds the fan quiver twice."""
 
     def job(self, d):
         d = DescentDatum(d.fan, d.charts, d.stored_deltas(), bases=d.bases)
@@ -1079,21 +1079,30 @@ class TestEachBuildOnce:
     def test_each_expansion_and_the_fan_quiver_once(self, monkeypatch, fresh_caches):
         d = twisted_datum(product_fan(3, 1), 2, random.Random(7).choice)
         fresh_caches()
-        built, real_init = [], Quiver.__init__
+        expansions, built = [], []
+        real_expansion, real_init = DirectionResolver._expansion, Quiver.__init__
         coordinates = reps.stratum_loop_exponents.cache_info
+
+        def expansion(self, *args):
+            expansions.append(args)
+            return real_expansion(self, *args)
 
         def init(self, *args, **kwargs):
             built.append(args)
             real_init(self, *args, **kwargs)
 
+        monkeypatch.setattr(DirectionResolver, "_expansion", expansion)
         monkeypatch.setattr(Quiver, "__init__", init)
         self.job(d)
         first = coordinates()
+        assert 0 < len(expansions) <= 92
         assert 0 < first.misses <= 19
         assert quivers._fan_quiver_cached.cache_info().misses <= 1
+        expansions.clear()
         built.clear()
         self.job(d)
         again = coordinates()
+        assert 0 < len(expansions) <= 92
         assert again.misses == first.misses and again.hits > first.hits
         assert built == []
 
